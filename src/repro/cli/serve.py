@@ -223,9 +223,12 @@ class _ServeHandler(BaseHTTPRequestHandler):
         cells = artifact.plan(scale)
         from repro.execution.cache import config_fingerprint
 
+        # Each cell is hashed once per request: the existence checks, the
+        # claims and both engine passes below are all keyed by these.
+        fingerprints = [config_fingerprint(cell) for cell in cells]
         unique: dict[str, Any] = {}
-        for cell in cells:
-            unique.setdefault(config_fingerprint(cell), cell)
+        for fingerprint, cell in zip(fingerprints, cells):
+            unique.setdefault(fingerprint, cell)
 
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
@@ -249,7 +252,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 missing = {
                     fingerprint: cell
                     for fingerprint, cell in unique.items()
-                    if cell not in server.cache
+                    if not server.cache.contains(cell, fingerprint=fingerprint)
                 }
                 if not missing:
                     break
@@ -257,7 +260,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 if mine:
                     engine = server.make_engine()
                     try:
-                        engine.run([missing[fingerprint] for fingerprint in mine])
+                        engine.run([missing[fingerprint] for fingerprint in mine], fingerprints=mine)
                     finally:
                         server.flight.release(mine)
                     report = engine.last_report
@@ -282,7 +285,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             # in plan order and the registry build + renderers produce bytes
             # identical to a local `python -m repro report`.
             engine = ExperimentEngine(cache=server.cache, run_fn=run_cell)
-            store = engine.run(cells)
+            store = engine.run(cells, fingerprints=fingerprints)
             result = artifact.build(store, scale)
             emit(
                 {

@@ -10,6 +10,16 @@ Records are persisted one-file-per-cell (``<fingerprint>.json``) under a cache
 directory, which makes the cache safe to share between processes: writers use
 an atomic rename, readers only ever see complete files, and concurrent writers
 of the same cell write identical bytes.
+
+Every backend speaks the same surface: ``get(config, fingerprint=None)``,
+``put(config, record, fingerprint=None)`` and ``contains(config,
+fingerprint=None)`` (``config in cache`` spells the last one).  Hashing a
+config costs as much as reading its verified entry, so a caller that already
+holds the fingerprint — the engine computes it once per cell and run, the
+report server once per cell and request — passes it down instead of having
+each layer derive it again.  A passed fingerprint must be
+``config_fingerprint(config)``; the entry's own content checks still run on
+every read.
 """
 
 from __future__ import annotations
@@ -116,7 +126,7 @@ def record_digest(record_dict: dict[str, Any]) -> str:
     return _payload_hash(_canonical(record_dict))
 
 
-def entry_payload(config: Any, record: Any) -> dict[str, Any]:
+def entry_payload(config: Any, record: Any, fingerprint: str | None = None) -> dict[str, Any]:
     """The canonical cache-entry payload every backend stores for one record.
 
     One constructor shared by the local and HTTP caches keeps their bytes
@@ -125,7 +135,7 @@ def entry_payload(config: Any, record: Any) -> dict[str, Any]:
     """
     record_dict = record.to_dict()
     return {
-        "fingerprint": config_fingerprint(config),
+        "fingerprint": config_fingerprint(config) if fingerprint is None else fingerprint,
         "config": fingerprint_payload(config),
         "integrity": record_digest(record_dict),
         "record": record_dict,
@@ -153,7 +163,9 @@ def verify_entry(fingerprint: str, payload: dict[str, Any]) -> RunRecord:
     if not isinstance(record_dict, dict):
         raise ValueError("entry has no record object")
     integrity = payload.get("integrity")
-    if integrity is not None and record_digest(record_dict) != integrity:
+    # ``_canonical`` is the identity on parsed JSON (string keys, plain
+    # floats), so hashing the parsed record directly is ``record_digest``
+    if integrity is not None and _payload_hash(record_dict) != integrity:
         raise ValueError("record bytes do not match the stored integrity digest")
     return RunRecord.from_dict(record_dict)
 
@@ -206,6 +218,9 @@ class RunCache:
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
+        # entry paths are built by string concatenation on this prefix: a
+        # pathlib join re-parses the directory on every lookup
+        self._prefix = os.path.join(os.fspath(self.cache_dir), "")
         self.stats = CacheStats()
 
     # -- addressing ----------------------------------------------------------
@@ -213,9 +228,13 @@ class RunCache:
         """Content hash addressing ``config`` (see :func:`config_fingerprint`)."""
         return config_fingerprint(config)
 
+    def _entry(self, fingerprint: str) -> str:
+        """The entry file path for ``fingerprint``."""
+        return f"{self._prefix}{fingerprint}.json"
+
     def path_for(self, config: Any) -> Path:
         """Filesystem path the record for ``config`` is (or would be) stored at."""
-        return self.cache_dir / f"{config_fingerprint(config)}.json"
+        return Path(self._entry(config_fingerprint(config)))
 
     # -- integrity -----------------------------------------------------------
     @property
@@ -223,7 +242,7 @@ class RunCache:
         """Where failed-verification entries are moved for post-mortem."""
         return self.cache_dir / "quarantine"
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry out of the addressable namespace, keeping its bytes.
 
         Quarantining rather than deleting preserves the evidence (what *did*
@@ -235,26 +254,35 @@ class RunCache:
         self.stats.corrupt += 1
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_dir / f"{path.name}.corrupt")
+            os.replace(path, self.quarantine_dir / f"{os.path.basename(path)}.corrupt")
         except OSError:
             # someone else quarantined it first (or the directory is
             # read-only); either way the address must stop resolving
-            path.unlink(missing_ok=True)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
 
-    def _load_verified(self, path: Path) -> RunRecord | None:
-        """Parse and verify one entry file; quarantine and return ``None`` if bad."""
+    def _read_verified(self, fingerprint: str) -> tuple[bytes, RunRecord] | None:
+        """Read and verify one entry: its bytes and record, or ``None``.
+
+        A missing entry is ``None``; one that fails verification is
+        quarantined first.
+        """
+        path = self._entry(fingerprint)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as fh:
+                blob = fh.read()
         except FileNotFoundError:
             return None
         try:
-            return verify_entry(path.stem, json.loads(blob))
+            return blob, verify_entry(fingerprint, json.loads(blob))
         except (json.JSONDecodeError, ValueError, KeyError, TypeError):
             self._quarantine(path)
             return None
 
     # -- lookup / store ------------------------------------------------------
-    def get(self, config: Any) -> RunRecord | None:
+    def get(self, config: Any, fingerprint: str | None = None) -> RunRecord | None:
         """Return the cached record for ``config``, or ``None`` on a miss.
 
         Every read is verified against the content address (see
@@ -263,22 +291,25 @@ class RunCache:
         :attr:`CacheStats.corrupt`, so the next :meth:`put` repairs it
         instead of skipping the existing file.
         """
-        record = self._load_verified(self.path_for(config))
-        if record is None:
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        entry = self._read_verified(fingerprint)
+        if entry is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return record
+        return entry[1]
 
-    def put(self, config: Any, record: RunRecord) -> Path:
+    def put(self, config: Any, record: RunRecord, fingerprint: str | None = None) -> Path:
         """Persist ``record`` under ``config``'s fingerprint (atomic write)."""
-        path = self.path_for(config)
-        if path.exists():
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        path = self._entry(fingerprint)
+        if os.path.exists(path):
             self.stats.skips += 1
-            return path
-        blob = json.dumps(entry_payload(config, record), indent=2, sort_keys=True)
-        self.write_blob(path.stem, blob.encode("utf-8"))
-        return path
+            return Path(path)
+        blob = json.dumps(entry_payload(config, record, fingerprint), indent=2, sort_keys=True)
+        return self.write_blob(fingerprint, blob.encode("utf-8"))
 
     # -- content-addressed transport -----------------------------------------
     # The remote store (repro.execution.remote_cache) moves entries between
@@ -291,21 +322,12 @@ class RunCache:
         corrupt entry to another machine, so a failed verification
         quarantines the file and reports absence.
         """
-        path = self.cache_dir / f"{fingerprint}.json"
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        try:
-            verify_entry(fingerprint, json.loads(blob))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            return None
-        return blob
+        entry = self._read_verified(fingerprint)
+        return None if entry is None else entry[0]
 
     def write_blob(self, fingerprint: str, blob: bytes) -> Path:
         """Atomically store ``blob`` under ``fingerprint`` (first write wins)."""
-        path = self.cache_dir / f"{fingerprint}.json"
+        path = Path(self._entry(fingerprint))
         if path.exists():
             self.stats.skips += 1
             return path
@@ -330,8 +352,14 @@ class RunCache:
             return 0
         return sum(1 for _ in self.cache_dir.glob("*.json"))
 
+    def contains(self, config: Any, fingerprint: str | None = None) -> bool:
+        """Whether an entry for ``config`` is stored (not verified until read)."""
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        return os.path.exists(self._entry(fingerprint))
+
     def __contains__(self, config: Any) -> bool:
-        return self.path_for(config).exists()
+        return self.contains(config)
 
     def clear(self) -> int:
         """Delete every cached entry; return how many were removed.
@@ -376,29 +404,38 @@ class InMemoryRunCache:
         """Content hash addressing ``config`` (see :func:`config_fingerprint`)."""
         return config_fingerprint(config)
 
-    def get(self, config: Any) -> RunRecord | None:
+    def get(self, config: Any, fingerprint: str | None = None) -> RunRecord | None:
         """Return a fresh copy of the cached record for ``config``, or ``None``."""
-        payload = self._entries.get(config_fingerprint(config))
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        payload = self._entries.get(fingerprint)
         if payload is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return RunRecord.from_dict(json.loads(json.dumps(payload)))
 
-    def put(self, config: Any, record: RunRecord) -> None:
+    def put(self, config: Any, record: RunRecord, fingerprint: str | None = None) -> None:
         """Store a snapshot of ``record`` under ``config``'s fingerprint (first write wins)."""
-        key = config_fingerprint(config)
-        if key in self._entries:
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        if fingerprint in self._entries:
             self.stats.skips += 1
             return
-        self._entries[key] = record.to_dict()
+        self._entries[fingerprint] = record.to_dict()
         self.stats.stores += 1
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def contains(self, config: Any, fingerprint: str | None = None) -> bool:
+        """Whether an entry for ``config`` is stored."""
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        return fingerprint in self._entries
+
     def __contains__(self, config: Any) -> bool:
-        return config_fingerprint(config) in self._entries
+        return self.contains(config)
 
     def clear(self) -> int:
         """Forget every cached entry; return how many were removed."""

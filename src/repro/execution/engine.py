@@ -202,7 +202,8 @@ class ExperimentEngine:
     ----------
     cache:
         A :class:`RunCache` (or any object with its ``get``/``put`` surface,
-        e.g. :class:`~repro.execution.cache.InMemoryRunCache`), a cache
+        including their ``fingerprint=`` keyword, e.g.
+        :class:`~repro.execution.cache.InMemoryRunCache`), a cache
         directory path, or ``None`` to disable caching entirely.
     max_workers:
         ``1`` (the default) runs every miss serially in-process — this is also
@@ -324,11 +325,19 @@ class ExperimentEngine:
         self.last_report = EngineReport()
 
     # -- execution -----------------------------------------------------------
-    def run(self, configs: Iterable[Any], store: RunStore | None = None) -> RunStore:
+    def run(
+        self,
+        configs: Iterable[Any],
+        store: RunStore | None = None,
+        fingerprints: Sequence[str] | None = None,
+    ) -> RunStore:
         """Execute every config (or fetch it from the cache) and collect records.
 
         Returns ``store`` (a fresh :class:`RunStore` unless one is passed in)
-        with one record per config, in config order.
+        with one record per config, in config order.  ``fingerprints``, when
+        given, holds ``config_fingerprint`` of each config, in the same order;
+        otherwise each config is hashed here, once, and the key is handed to
+        every cache ``get`` and ``put`` of this run.
         """
         plan: Sequence[Any] = list(configs)
         # Bound immediately (and mutated in place) so the report survives a
@@ -336,11 +345,19 @@ class ExperimentEngine:
         report = self.last_report = EngineReport(total=len(plan))
         results: list[RunRecord | None] = [None] * len(plan)
         tier_before = _tier_stats(self.cache)
+        if self.cache is None:
+            keys: Sequence[str] = ()
+        elif fingerprints is None:
+            keys = [config_fingerprint(config) for config in plan]
+        elif len(fingerprints) != len(plan):
+            raise ValueError(f"{len(fingerprints)} fingerprints for {len(plan)} configs")
+        else:
+            keys = fingerprints
 
         try:
             pending: list[int] = []
             for idx, config in enumerate(plan):
-                record = self.cache.get(config) if self.cache is not None else None
+                record = self.cache.get(config, fingerprint=keys[idx]) if self.cache is not None else None
                 if record is not None:
                     results[idx] = record
                     report.cache_hits += 1
@@ -354,11 +371,11 @@ class ExperimentEngine:
                 report.executor = backend
                 with _plan_env(self.plan, self.plan_passes):
                     if backend == "queue":
-                        self._run_queue(plan, jobs, results, report)
+                        self._run_queue(plan, keys, jobs, results, report)
                     elif backend == "serial":
-                        self._run_serial(plan, jobs, results, report)
+                        self._run_serial(plan, keys, jobs, results, report)
                     else:
-                        self._run_parallel(plan, jobs, results, report)
+                        self._run_parallel(plan, keys, jobs, results, report)
         finally:
             report.cache_tiers = _tier_delta(tier_before, _tier_stats(self.cache))
 
@@ -426,6 +443,7 @@ class ExperimentEngine:
     def _complete(
         self,
         plan: Sequence[Any],
+        keys: Sequence[str],
         job: "_Job",
         outcome: RunRecord | list[RunRecord] | tuple[list[RunRecord], bool],
         results: list[RunRecord | None],
@@ -455,11 +473,12 @@ class ExperimentEngine:
                 # Seed-batched cells are split back into per-seed records here:
                 # each one is cached under its own per-seed config fingerprint,
                 # so later runs with any subset of the seeds hit the cache.
-                self.cache.put(plan[idx], record)
+                self.cache.put(plan[idx], record, fingerprint=keys[idx])
 
     def _run_serial(
         self,
         plan: Sequence[Any],
+        keys: Sequence[str],
         jobs: Sequence["_Job"],
         results: list[RunRecord | None],
         report: EngineReport,
@@ -478,11 +497,12 @@ class ExperimentEngine:
             except Exception as exc:
                 report.failures.extend(f"cell {idx}: {exc!r}" for idx in job.indices)
                 raise
-            self._complete(plan, job, outcome, results, report)
+            self._complete(plan, keys, job, outcome, results, report)
 
     def _run_parallel(
         self,
         plan: Sequence[Any],
+        keys: Sequence[str],
         jobs: Sequence["_Job"],
         results: list[RunRecord | None],
         report: EngineReport,
@@ -501,7 +521,7 @@ class ExperimentEngine:
                         exc = future.exception()
                         if exc is None:
                             try:
-                                self._complete(plan, job, future.result(), results, report)
+                                self._complete(plan, keys, job, future.result(), results, report)
                             except Exception:
                                 # a malformed outcome is fatal — don't let
                                 # queued/in-flight cells train for nothing
@@ -530,11 +550,12 @@ class ExperimentEngine:
             # their transient-failure retry.
             remaining = [job for job in jobs if results[job.indices[0]] is None]
             report.retried += len(remaining)
-            self._run_serial(plan, remaining, results, report)
+            self._run_serial(plan, keys, remaining, results, report)
 
     def _run_queue(
         self,
         plan: Sequence[Any],
+        keys: Sequence[str],
         jobs: Sequence["_Job"],
         results: list[RunRecord | None],
         report: EngineReport,
@@ -560,7 +581,7 @@ class ExperimentEngine:
                 leased = queue.lease(owner)
                 if leased is not None:
                     progressed = True
-                    self._run_leased(plan, jobs, leased, results, report, queue, owner)
+                    self._run_leased(plan, keys, jobs, leased, results, report, queue, owner)
             # inline execution fills results directly; settle those first
             for i in list(pending):
                 if results[jobs[i].indices[0]] is not None:
@@ -570,7 +591,7 @@ class ExperimentEngine:
             for i in sorted(pending):
                 state = states.get(job_ids[i])
                 if state == "done":
-                    record = self.cache.get(jobs[i].payload)
+                    record = self.cache.get(jobs[i].payload, fingerprint=keys[jobs[i].indices[0]])
                     if record is None:
                         # Done without a published record should be impossible
                         # (workers publish before completing) — re-enqueue the
@@ -584,7 +605,7 @@ class ExperimentEngine:
                     progressed = True
                 elif state == "dead":
                     letters = {dead["fingerprint"]: dead for dead in queue.dead_letters()}
-                    error = letters.get(config_fingerprint(jobs[i].payload), {}).get(
+                    error = letters.get(keys[jobs[i].indices[0]], {}).get(
                         "last_error", "unknown error"
                     )
                     message = (
@@ -599,6 +620,7 @@ class ExperimentEngine:
     def _run_leased(
         self,
         plan: Sequence[Any],
+        keys: Sequence[str],
         jobs: Sequence["_Job"],
         leased: Any,
         results: list[RunRecord | None],
@@ -615,7 +637,7 @@ class ExperimentEngine:
         """
         mine: "_Job | None" = None
         for job in jobs:
-            if config_fingerprint(job.payload) == leased.fingerprint:
+            if keys[job.indices[0]] == leased.fingerprint:
                 mine = job
                 break
         try:
@@ -634,9 +656,9 @@ class ExperimentEngine:
             report.retried += 1
             return
         if mine is not None:
-            self._complete(plan, mine, outcome, results, report)
+            self._complete(plan, keys, mine, outcome, results, report)
         else:
-            self.cache.put(leased.config, outcome)
+            self.cache.put(leased.config, outcome, fingerprint=leased.fingerprint)
         queue.complete(leased.id, owner)
 
 

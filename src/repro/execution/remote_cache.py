@@ -280,7 +280,7 @@ class HTTPRunCache:
         """Content hash addressing ``config`` (same hash as every other backend)."""
         return config_fingerprint(config)
 
-    def get(self, config: Any) -> RunRecord | None:
+    def get(self, config: Any, fingerprint: str | None = None) -> RunRecord | None:
         """Fetch the record for ``config`` from the store, or ``None`` on a miss.
 
         Only a 404 is a *miss* (the entry genuinely is not there); any other
@@ -292,7 +292,8 @@ class HTTPRunCache:
         no longer forces a redundant retrain.  Either way the caller gets
         ``None`` on failure and can still train.
         """
-        fingerprint = config_fingerprint(config)
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
         request = urllib.request.Request(self._url(fingerprint), method="GET")
         try:
             blob = self._request(request, op="get", key=fingerprint)
@@ -316,7 +317,7 @@ class HTTPRunCache:
         self.stats.hits += 1
         return record
 
-    def put(self, config: Any, record: RunRecord) -> None:
+    def put(self, config: Any, record: RunRecord, fingerprint: str | None = None) -> None:
         """Upload ``record`` under ``config``'s fingerprint (idempotent server-side).
 
         An unreachable or broken store counts in :attr:`CacheStats.errors`
@@ -326,8 +327,9 @@ class HTTPRunCache:
         sent a malformed payload — that is a bug worth a traceback, so it
         propagates.
         """
-        fingerprint = config_fingerprint(config)
-        blob = json.dumps(entry_payload(config, record), indent=2, sort_keys=True).encode("utf-8")
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        blob = json.dumps(entry_payload(config, record, fingerprint), indent=2, sort_keys=True).encode("utf-8")
         request = urllib.request.Request(
             self._url(fingerprint),
             data=blob,
@@ -345,14 +347,19 @@ class HTTPRunCache:
             return
         self.stats.stores += 1
 
-    def __contains__(self, config: Any) -> bool:
-        fingerprint = config_fingerprint(config)
+    def contains(self, config: Any, fingerprint: str | None = None) -> bool:
+        """Whether the store holds a verified entry for ``config`` (one HEAD probe)."""
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
         request = urllib.request.Request(self._url(fingerprint), method="HEAD")
         try:
             self._request(request, op="head", key=fingerprint)
             return True
         except (_Permanent, _Transient):
             return False
+
+    def __contains__(self, config: Any) -> bool:
+        return self.contains(config)
 
     def __len__(self) -> int:
         # A failed /stats probe is a broken backend, not an empty store: count
@@ -405,17 +412,19 @@ class TieredRunCache:
         """Content hash addressing ``config`` (shared by every tier)."""
         return config_fingerprint(config)
 
-    def get(self, config: Any) -> RunRecord | None:
+    def get(self, config: Any, fingerprint: str | None = None) -> RunRecord | None:
         """Nearest hit wins; backfill the tiers in front of it (read-through)."""
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
         for i, tier in enumerate(self.tiers):
-            record = tier.get(config)
+            record = tier.get(config, fingerprint=fingerprint)
             if record is not None:
                 for nearer in self.tiers[:i]:
                     # backfill is an optimisation; a tier that cannot take the
                     # copy (disk full, transport down) must not turn a hit
                     # into an aborted run
                     try:
-                        nearer.put(config, record)
+                        nearer.put(config, record, fingerprint=fingerprint)
                     except (urllib.error.URLError, OSError):
                         self.stats.errors += 1
                 self.stats.hits += 1
@@ -423,7 +432,7 @@ class TieredRunCache:
         self.stats.misses += 1
         return None
 
-    def put(self, config: Any, record: RunRecord) -> None:
+    def put(self, config: Any, record: RunRecord, fingerprint: str | None = None) -> None:
         """Write ``record`` through to every tier that will take it.
 
         A tier whose transport is down (remote store unreachable mid-run) is
@@ -431,15 +440,23 @@ class TieredRunCache:
         the surviving tiers still get the record, so training degrades to
         local caching instead of losing the finished run.
         """
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
         for tier in self.tiers:
             try:
-                tier.put(config, record)
+                tier.put(config, record, fingerprint=fingerprint)
             except (urllib.error.URLError, OSError):
                 self.stats.errors += 1
         self.stats.stores += 1
 
+    def contains(self, config: Any, fingerprint: str | None = None) -> bool:
+        """Whether any tier holds an entry for ``config``."""
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        return any(tier.contains(config, fingerprint=fingerprint) for tier in self.tiers)
+
     def __contains__(self, config: Any) -> bool:
-        return any(config in tier for tier in self.tiers)
+        return self.contains(config)
 
     def __len__(self) -> int:
         return max(len(tier) for tier in self.tiers)
@@ -474,22 +491,32 @@ class ShardedRunCache:
         """Content hash addressing ``config`` (also the routing key)."""
         return config_fingerprint(config)
 
-    def get(self, config: Any) -> RunRecord | None:
+    def get(self, config: Any, fingerprint: str | None = None) -> RunRecord | None:
         """Look the record up on its owning shard."""
-        record = self._shard_for(config_fingerprint(config)).get(config)
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        record = self._shard_for(fingerprint).get(config, fingerprint=fingerprint)
         if record is None:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
         return record
 
-    def put(self, config: Any, record: RunRecord) -> None:
+    def put(self, config: Any, record: RunRecord, fingerprint: str | None = None) -> None:
         """Store the record on its owning shard."""
-        self._shard_for(config_fingerprint(config)).put(config, record)
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        self._shard_for(fingerprint).put(config, record, fingerprint=fingerprint)
         self.stats.stores += 1
 
+    def contains(self, config: Any, fingerprint: str | None = None) -> bool:
+        """Whether the owning shard holds an entry for ``config``."""
+        if fingerprint is None:
+            fingerprint = config_fingerprint(config)
+        return self._shard_for(fingerprint).contains(config, fingerprint=fingerprint)
+
     def __contains__(self, config: Any) -> bool:
-        return config in self._shard_for(config_fingerprint(config))
+        return self.contains(config)
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)

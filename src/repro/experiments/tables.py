@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiments.settings import get_setting
-from repro.utils.records import RunStore
+from repro.utils.records import RunIndex, RunStore
 from repro.utils.textplot import ascii_table, format_mean_std
 
 __all__ = [
@@ -59,11 +59,12 @@ def setting_table_rows(
     budgets = list(budgets if budgets is not None else sorted(sub.unique("budget_fraction")))
 
     headers = [optimizer.upper()] + [f"{b * 100:g}%" for b in budgets]
+    cells = RunIndex(sub, "schedule", "budget_fraction")
     rows: list[list[str]] = []
     for schedule in schedules:
         row = [schedule_label(schedule)]
         for budget in budgets:
-            cell = sub.filter(schedule=schedule, budget_fraction=budget)
+            cell = cells.lookup(schedule, budget)
             if len(cell) == 0:
                 row.append("—")
             else:

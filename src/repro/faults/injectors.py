@@ -91,19 +91,21 @@ class FaultyRunCache:
             raise InjectedFault(f"injected {rule.kind} at {self.site} (key {fingerprint[:12]})")
         # "slow" is just the delay above
 
-    def get(self, config: Any) -> Any:
+    def get(self, config: Any, fingerprint: str | None = None) -> Any:
         """Read through the inner cache, rotting the stored entry on schedule."""
-        fingerprint = self.inner.fingerprint(config)
-        if (self.inner.cache_dir / f"{fingerprint}.json").is_file():
+        if fingerprint is None:
+            fingerprint = self.inner.fingerprint(config)
+        if self.inner.contains(config, fingerprint=fingerprint):
             rule = self.plan.decide(f"{self.site}.get", fingerprint)
             if rule is not None:
                 self._apply(rule, fingerprint)
-        return self.inner.get(config)
+        return self.inner.get(config, fingerprint=fingerprint)
 
-    def put(self, config: Any, record: Any) -> None:
+    def put(self, config: Any, record: Any, fingerprint: str | None = None) -> None:
         """Store through the inner cache, then rot/fail the write on schedule."""
-        fingerprint = self.inner.fingerprint(config)
-        self.inner.put(config, record)
+        if fingerprint is None:
+            fingerprint = self.inner.fingerprint(config)
+        self.inner.put(config, record, fingerprint=fingerprint)
         rule = self.plan.decide(f"{self.site}.put", fingerprint)
         if rule is not None:
             self._apply(rule, fingerprint)
@@ -121,8 +123,12 @@ class FaultyRunCache:
         """Delegate to the inner cache."""
         self.inner.write_blob(fingerprint, blob)
 
+    def contains(self, config: Any, fingerprint: str | None = None) -> bool:
+        """Delegate to the inner cache."""
+        return self.inner.contains(config, fingerprint=fingerprint)
+
     def __contains__(self, config: Any) -> bool:
-        return config in self.inner
+        return self.contains(config)
 
     def __len__(self) -> int:
         return len(self.inner)

@@ -86,7 +86,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     prev = (x, weight) + ((bias,) if bias is not None else ())
     out = Tensor(out_data, requires_grad=requires_grad, _prev=prev)
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None:
             return
         g = out.grad
@@ -280,7 +280,7 @@ def _conv2d_batched(
     prev = (x, weight) + ((bias,) if bias is not None else ())
     out = Tensor(out_data, requires_grad=requires_grad, _prev=prev)
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None:
             return
         grad_out = out.grad.reshape(s, n, out_c, pos)
@@ -357,7 +357,7 @@ def conv2d(
     prev = (x, weight) + ((bias,) if bias is not None else ())
     out = Tensor(out_data, requires_grad=requires_grad, _prev=prev)
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None:
             return
         grad_out = out.grad.reshape(n, out_c, pos)
@@ -422,7 +422,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
     out_shape = x.shape[:-2] + (out_h, out_w)
     out = Tensor(pooled.reshape(out_shape), requires_grad=x.requires_grad, _prev=(x,))
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None or not x.requires_grad:
             return
         grad_cols = _zeros(cols.shape, cols.dtype)
@@ -452,7 +452,7 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
     out_shape = x.shape[:-2] + (out_h, out_w)
     out = Tensor(pooled.reshape(out_shape), requires_grad=x.requires_grad, _prev=(x,))
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None or not x.requires_grad:
             return
         grad_view = out.grad.reshape(rows, 1, pos)
@@ -514,7 +514,7 @@ def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
             weight.data[seed_sel, indices], requires_grad=weight.requires_grad, _prev=(weight,)
         )
 
-        def _backward_batched() -> None:
+        def _backward_batched(out: Tensor) -> None:
             if out.grad is None or not weight.requires_grad:
                 return
             grad = _zeros(weight.data.shape, weight.data.dtype)
@@ -538,7 +538,7 @@ def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
         gathered = weight.data[indices]
     out = Tensor(gathered, requires_grad=weight.requires_grad, _prev=(weight,))
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None or not weight.requires_grad:
             return
         grad = _zeros(weight.data.shape, weight.data.dtype)
@@ -596,7 +596,7 @@ def dropout(
     )
     out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,))
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is not None and x.requires_grad:
             g = out.grad
             inner = _plan.ACTIVE

@@ -616,7 +616,8 @@ class GraphPlan:
                 for start, op in self._schedule:
                     self._pos = start
                     if type(op) is int:
-                        nodes[op]._backward()
+                        node = nodes[op]
+                        node._backward(node)
                     else:
                         op.execute(self, nodes)
         finally:
@@ -639,7 +640,8 @@ class GraphPlan:
         start, op = item
         self._tls.pos = start
         if type(op) is int:
-            nodes[op]._backward()
+            node = nodes[op]
+            node._backward(node)
         else:
             op.execute(self, nodes)
 

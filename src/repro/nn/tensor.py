@@ -13,7 +13,13 @@ Design notes
   as-is for indices/labels.
 * Each differentiable op builds a closure that accumulates gradients into its
   parents; ``Tensor.backward`` runs a topological sort and calls the closures
-  in reverse order.
+  in reverse order.  A closure takes its own node as its argument (named
+  ``out``, like the result it belongs to; called as ``node._backward(node)``)
+  instead of capturing it, so the graph holds no reference cycle: a tensor
+  points at its parents and its closure, never back at itself.  Every
+  activation is freed by reference counting the moment the last tensor using
+  it goes, under ``no_grad`` too, not whenever the cyclic garbage collector
+  next runs.
 * Gradients are stored in the tensor's own dtype.  Backward closures hand
   freshly allocated arrays to ``_accumulate(..., own=True)``, which then adopts
   them instead of copying — the hot ops (matmul, add, mul, relu, softmax)
@@ -87,6 +93,10 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _leaf_backward(node: "Tensor") -> None:
+    """The backward closure of a tensor no op produced: nothing to propagate."""
 
 
 def _as_array(data: object, dtype: np.dtype | None = None) -> np.ndarray:
@@ -233,7 +243,7 @@ class Tensor:
                 self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] = lambda: None
+        self._backward: Callable[[Tensor], None] = _leaf_backward
         self._prev: tuple[Tensor, ...] = _prev if _GRAD_ENABLED else ()
         self.name = name
         # Plan bookkeeping: which generation (if any) indexed this tensor
@@ -337,7 +347,7 @@ class Tensor:
                 return self
             out = Tensor(self.data.astype(target), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(out.grad.astype(self.data.dtype), own=True)
 
@@ -472,14 +482,14 @@ class Tensor:
             plan.note_seed_done()
             for node in reversed(topo):
                 start = plan._pos
-                node._backward()
+                node._backward(node)
                 plan.note_closure(node, start)
             plan.end_backward()
             return
 
         self._accumulate(grad)
         for node in reversed(topo):
-            node._backward()
+            node._backward(node)
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
@@ -490,7 +500,7 @@ class Tensor:
             _prev=(self, other),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None:
                 return
             if self.requires_grad:
@@ -508,7 +518,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor(_neg(self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(_neg(out.grad), own=True)
 
@@ -527,7 +537,7 @@ class Tensor:
             _prev=(self, other),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None:
                 return
             if self.requires_grad:
@@ -550,7 +560,7 @@ class Tensor:
             _prev=(self, other),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None:
                 return
             if self.requires_grad:
@@ -573,7 +583,7 @@ class Tensor:
             _prev=(self, other),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None:
                 return
             if self.requires_grad:
@@ -602,7 +612,7 @@ class Tensor:
             _prev=(self,),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 scaled = _scalar_ew(np.multiply, out.grad, exponent)
                 powed = _scalar_ew(np.power, self.data, exponent - 1)
@@ -620,7 +630,7 @@ class Tensor:
             _prev=(self, other),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None:
                 return
             a, b, g = self.data, other.data, out.grad
@@ -646,7 +656,7 @@ class Tensor:
     def exp(self) -> "Tensor":
         out = Tensor(_unary(np.exp, self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(_ew(np.multiply, out.grad, out.data), own=True)
 
@@ -657,7 +667,7 @@ class Tensor:
     def log(self) -> "Tensor":
         out = Tensor(_unary(np.log, self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(_ew(np.true_divide, out.grad, self.data, kinds="f"), own=True)
 
@@ -672,7 +682,7 @@ class Tensor:
         out_data = _unary(np.tanh, self.data)
         out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 # out.grad * (1 - out_data**2), staged in one buffer
                 sq = _scalar_ew(np.power, out_data, 2)
@@ -692,7 +702,7 @@ class Tensor:
         np.divide(1.0, out_data, out=out_data)
         out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 # out.grad * s * (1 - s), staged in two buffers
                 left = _ew(np.multiply, out.grad, out_data)
@@ -723,7 +733,7 @@ class Tensor:
             out_data = np.maximum(a, 0)
         out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 g = out.grad
                 inner = _plan.ACTIVE
@@ -746,7 +756,7 @@ class Tensor:
             _prev=(self,),
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(_ew(np.multiply, out.grad, scale), own=True)
 
@@ -757,7 +767,7 @@ class Tensor:
         sign = _unary(np.sign, self.data)
         out = Tensor(_unary(np.abs, self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(_ew(np.multiply, out.grad, sign), own=True)
 
@@ -768,7 +778,7 @@ class Tensor:
         mask = (self.data > low) & (self.data < high)
         out = Tensor(np.clip(self.data, low, high), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(out.grad * mask, own=True)
 
@@ -780,7 +790,7 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
         out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None or not self.requires_grad:
                 return
             grad = out.grad
@@ -814,7 +824,7 @@ class Tensor:
         out_data = self.data.max(axis=axis, keepdims=keepdims)
         out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None or not self.requires_grad:
                 return
             # The tie mask is cast with the tensor's own dtype (not a
@@ -841,7 +851,7 @@ class Tensor:
             shape = tuple(shape[0])  # type: ignore[assignment]
         out = Tensor(self.data.reshape(shape), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
 
@@ -854,7 +864,7 @@ class Tensor:
             self.data.transpose(axes_tuple), requires_grad=self.requires_grad, _prev=(self,)
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None or not self.requires_grad:
                 return
             if axes_tuple is None:
@@ -876,7 +886,7 @@ class Tensor:
             np.swapaxes(self.data, axis1, axis2), requires_grad=self.requires_grad, _prev=(self,)
         )
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(np.swapaxes(out.grad, axis1, axis2))
 
@@ -886,7 +896,7 @@ class Tensor:
     def __getitem__(self, index: object) -> "Tensor":
         out = Tensor(self.data[index], requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None or not self.requires_grad:
                 return
             plan = _plan.ACTIVE
@@ -911,7 +921,7 @@ class Tensor:
         out_data = np.pad(self.data, ((0, 0), (0, 0), (p, p), (p, p)))
         out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is not None and self.requires_grad:
                 self._accumulate(out.grad[:, :, p:-p, p:-p])
 
@@ -940,7 +950,7 @@ class Tensor:
         out = Tensor(shifted, requires_grad=self.requires_grad, _prev=(self,))
         out_data = out.data
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None or not self.requires_grad:
                 return
             # dL/dx = s * (g - sum(g * s))
@@ -960,7 +970,7 @@ class Tensor:
         out = Tensor(shifted, requires_grad=self.requires_grad, _prev=(self,))
         out_data = out.data
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if out.grad is None or not self.requires_grad:
                 return
             # dL/dx = g - softmax * sum(g)
@@ -985,7 +995,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None:
             return
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
@@ -1009,7 +1019,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         _prev=tuple(tensors),
     )
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None:
             return
         grads = np.split(out.grad, len(tensors), axis=axis)
@@ -1031,7 +1041,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         _prev=(a, b),
     )
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if out.grad is None:
             return
         if a.requires_grad:

@@ -34,7 +34,7 @@ from repro.experiments.tables import rank_table_rows, setting_table_rows, top_fi
 from repro.execution.plan import plan_setting_table
 from repro.reporting.registry import Artifact, ArtifactResult, ResultTable, Scale, register_artifact
 from repro.schedules import PAPER_SCHEDULES
-from repro.utils.records import RunStore
+from repro.utils.records import RunIndex, RunStore
 
 __all__ = [
     "AGGREGATE_SETTINGS",
@@ -187,8 +187,7 @@ def _split_store(store: RunStore, plans: Sequence[Sequence[Any]]) -> list[RunSto
     return out
 
 
-def _mean_or_none(store: RunStore, **criteria: Any) -> float | None:
-    sub = store.filter(**criteria)
+def _mean_or_none(sub: RunStore) -> float | None:
     return sub.mean_metric() if len(sub) else None
 
 
@@ -346,11 +345,12 @@ def _make_setting_table(name: str, setting_name: str, number: int) -> None:
             tables.append(ResultTable(f"{optimizer.upper()} ({setting_obj.metric_name})", headers, rows))
         reproduced: dict[str, float] = {}
         first_optimizer = setting_obj.optimizers[0]
+        cells = RunIndex(store, "optimizer", "schedule", "budget_fraction")
         for budget in (min(setting_obj.budget_fractions), max(setting_obj.budget_fractions)):
             _put(
                 reproduced,
                 f"{first_optimizer}/rex@{budget * 100:g}%",
-                _mean_or_none(store, optimizer=first_optimizer, schedule="rex", budget_fraction=budget),
+                _mean_or_none(cells.lookup(first_optimizer, "rex", budget)),
             )
         return ArtifactResult(
             name=_name,

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["RunRecord", "RunStore"]
+__all__ = ["RunIndex", "RunRecord", "RunStore"]
+
+#: float attributes closer than this match in :meth:`RunStore.filter`
+FLOAT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class RunStore:
                     if have not in want:
                         return False
                 elif isinstance(want, float) and isinstance(have, float):
-                    if abs(have - want) > 1e-9:
+                    if abs(have - want) > FLOAT_TOLERANCE:
                         return False
                 elif have != want:
                     return False
@@ -170,3 +174,34 @@ class RunStore:
     def load(cls, path: str | Path) -> "RunStore":
         payload = json.loads(Path(path).read_text())
         return cls(RunRecord.from_dict(d) for d in payload)
+
+
+class RunIndex:
+    """A :class:`RunStore` grouped once by ``attrs``, for repeated equality lookups.
+
+    ``lookup(*values)`` returns exactly what ``store.filter(**dict(zip(attrs,
+    values)))`` returns — the same records in store order — without rescanning
+    the store: a lookup is a dict hit.  When a value matches no group key
+    exactly, or the store holds two float keys within :data:`FLOAT_TOLERANCE`
+    of each other (so one value could match several groups), the lookup falls
+    back to :meth:`RunStore.filter` and its tolerance.
+    """
+
+    def __init__(self, store: RunStore, *attrs: str) -> None:
+        self.store = store
+        self.attrs = attrs
+        self.groups = store.group_by(*attrs)
+        self.exact = not any(
+            abs(high - low) <= FLOAT_TOLERANCE
+            for column in zip(*self.groups)
+            # ints join the check: ``filter`` matches an int key to an equal float
+            for low, high in pairwise(sorted({v for v in column if isinstance(v, (int, float))}))
+        )
+
+    def lookup(self, *values: Any) -> RunStore:
+        """The records whose ``attrs`` equal ``values`` (floats within the tolerance)."""
+        if self.exact:
+            group = self.groups.get(values)
+            if group is not None:
+                return group
+        return self.store.filter(**dict(zip(self.attrs, values, strict=True)))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.execution import (
     ExecutionContext,
@@ -165,6 +167,49 @@ class TestRunCache:
         assert cache.clear() == 2  # both listed entries end up gone
         monkeypatch.undo()
         assert len(cache) == 0
+
+    def test_passed_fingerprint_addresses_the_same_entry(self, tmp_path):
+        cache = RunCache(tmp_path)
+        config = tiny_config()
+        fingerprint = config_fingerprint(config)
+        path = cache.put(config, make_record(), fingerprint=fingerprint)
+        assert path == cache.path_for(config) == tmp_path / f"{fingerprint}.json"
+        assert cache.get(config) == cache.get(config, fingerprint=fingerprint) == make_record()
+        assert cache.contains(config, fingerprint=fingerprint) and config in cache
+        assert not cache.contains(tiny_config(seed=1))
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestIntegrityDigest:
+    """Reads hash the parsed record directly; that must be the digest writes store."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(record=st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=6))
+    def test_parsed_json_hashes_like_record_digest(self, record):
+        from repro.execution.cache import _payload_hash, record_digest
+
+        parsed = json.loads(json.dumps(record))
+        assert _payload_hash(parsed) == record_digest(parsed)
+
+    def test_stored_entries_verify(self, tmp_path):
+        from repro.execution.cache import _payload_hash, record_digest
+
+        cache = RunCache(tmp_path)
+        cache.put(tiny_config(), make_record(metric=0.1 + 0.2, extra={"curve": [1.5, -0.0, 2]}))
+        (path,) = tmp_path.glob("*.json")
+        entry = json.loads(path.read_text())
+        assert _payload_hash(entry["record"]) == record_digest(entry["record"]) == entry["integrity"]
 
 
 class TestPlans:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,17 @@ class TestTableFormatting:
         assert headers == ["SGDM", "5%", "100%"]
         assert rows[0][0] == "+ REX"
         assert "±" in rows[0][1]
+
+    def test_near_equal_budgets_still_match(self, store):
+        """A budget computed as 0.1 + 0.2 lands in the 30% column, as with RunStore.filter."""
+        near = RunStore(
+            dataclasses.replace(r, budget_fraction=0.1 + 0.2) if r.budget_fraction == 1.0 else r
+            for r in store
+        )
+        rows, headers = setting_table_rows(near, "RN20-CIFAR10", "sgdm", budgets=[0.05, 0.3])
+        assert headers == ["SGDM", "5%", "30%"]
+        assert "—" not in [cell for row in rows for cell in row]
+        assert rows == setting_table_rows(store, "RN20-CIFAR10", "sgdm")[0]
 
     def test_format_setting_table_text(self, store):
         text = format_setting_table(store, "RN20-CIFAR10", optimizers=("sgdm",))

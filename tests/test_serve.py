@@ -133,6 +133,36 @@ class TestServedReports:
         assert server.stats()["cells_trained"] == trained_once
         assert all(event["event"] != "executed" for event in events)
 
+    def test_each_unique_cell_is_hashed_once_per_request(self, server, monkeypatch):
+        """The plan's fingerprints key every later check, claim, read and write."""
+        from repro.execution import cache as cache_mod
+        from repro.execution import engine as engine_mod
+        from repro.execution import queue as queue_mod
+        from repro.execution import remote_cache as remote_mod
+
+        calls = []
+        original = cache_mod.config_fingerprint
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        for module in (cache_mod, engine_mod, queue_mod, remote_mod):
+            monkeypatch.setattr(module, "config_fingerprint", counted)
+        for warm in (False, True):
+            calls.clear()
+            events = []
+            request_report(
+                server.url,
+                ARTIFACT,
+                scale=SCALE,
+                seeds=SEEDS,
+                progress=lambda line: events.append(json.loads(line)),
+            )
+            unique = events[0]["unique_cells"]
+            assert ("executed" in [event["event"] for event in events]) is not warm
+            assert 0 < len(calls) <= unique, f"{len(calls)} fingerprints for {unique} cells (warm={warm})"
+
     def test_client_raises_on_server_error(self, server):
         with pytest.raises(RuntimeError):
             request_report(server.url, "definitely-not-an-artifact")

@@ -300,3 +300,58 @@ class TestMaxTieDtype:
         x.max().backward()
         assert x.grad.dtype == np.float64
         np.testing.assert_allclose(x.grad, [0.0, 0.5, 0.5])
+
+
+def _cyclic_tensors(fn) -> int:
+    """How many ``Tensor`` objects ``fn`` leaves behind that only the cyclic GC could free."""
+    import gc
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return sum(isinstance(obj, Tensor) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+class TestGraphLifetime:
+    """Graphs hold no reference cycle: reference counting frees every activation."""
+
+    def test_forward_backward_leaves_no_cycles(self, rng):
+        def step():
+            w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            x = Tensor(rng.standard_normal((5, 4)))
+            ((x @ w).relu().tanh() * 2.0 - 1.0).log_softmax(axis=-1).sum().backward()
+
+        assert _cyclic_tensors(step) == 0
+
+    def test_no_grad_forward_leaves_no_cycles(self, rng):
+        def forward():
+            w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            with no_grad():
+                (Tensor(rng.standard_normal((5, 4))) @ w).sigmoid().sum()
+
+        assert _cyclic_tensors(forward) == 0
+
+    @pytest.mark.parametrize("plan", [True, False], ids=["plan", "no-plan"])
+    @pytest.mark.parametrize("dtype", [None, "bfloat16"], ids=["default", "bfloat16"])
+    def test_training_micro_cells_leaves_no_cycles(self, plan, dtype):
+        from repro.execution import ExecutionContext
+        from repro.execution.engine import ExperimentEngine
+        from repro.reporting.registry import get_artifact, resolve_scale, run_cell
+
+        scale = resolve_scale("micro", dtype=dtype, seeds=(0, 1))
+        # two schedules x two seeds of a conv and of a VAE setting; the seeds batch
+        cells = [cell for name in ("table4", "table7") for cell in get_artifact(name).plan(scale)[:4]]
+        engine = ExperimentEngine(context=ExecutionContext(plan=plan, batch_seeds=True), run_fn=run_cell)
+
+        assert _cyclic_tensors(lambda: engine.run(cells)) == 0
+        assert engine.last_report.executed == len(cells)
+        assert engine.last_report.batched_cells > 0

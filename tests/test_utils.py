@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.records import RunRecord, RunStore
+from repro.utils.records import RunIndex, RunRecord, RunStore
 from repro.utils.seeding import SeedSequence, set_global_seed, spawn_rng, stable_hash
 from repro.utils.textplot import ascii_plot, ascii_table, format_mean_std, series_to_csv
 from repro.utils.logging import get_logger, configure
@@ -92,6 +92,37 @@ class TestRunStore:
         store = RunStore([record(budget=0.01), record(budget=0.5)])
         low = store.where(lambda r: r.budget_fraction < 0.25)
         assert len(low) == 1
+
+
+
+class TestRunIndex:
+    """Indexed lookups return exactly what ``RunStore.filter`` returns."""
+
+    @staticmethod
+    def same(a: RunStore, b: RunStore) -> bool:
+        return [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+    def test_exact_and_missing_lookups(self):
+        store = RunStore([record(budget=b, schedule=s, seed=i) for i in range(2) for s in ("rex", "linear")
+                          for b in (0.25, 1.0)])
+        index = RunIndex(store, "schedule", "budget_fraction")
+        for schedule in ("rex", "linear", "step"):
+            for budget in (0.25, 1.0, 1, 0.5):
+                assert self.same(index.lookup(schedule, budget),
+                                 store.filter(schedule=schedule, budget_fraction=budget))
+
+    def test_near_equal_query_matches_within_tolerance(self):
+        store = RunStore([record(budget=0.1 + 0.2, metric=1.0), record(budget=0.05, metric=2.0)])
+        hit = RunIndex(store, "schedule", "budget_fraction").lookup("rex", 0.3)
+        assert len(hit) == 1 and hit.mean_metric() == 1.0
+
+    def test_near_equal_keys_merge_in_store_order(self):
+        store = RunStore([record(budget=0.3, metric=1.0), record(budget=0.05, metric=5.0),
+                          record(budget=0.1 + 0.2, metric=2.0), record(budget=0.3, metric=4.0)])
+        index = RunIndex(store, "schedule", "budget_fraction")
+        merged = index.lookup("rex", 0.3)
+        assert [r.metric for r in merged] == [1.0, 2.0, 4.0]
+        assert self.same(merged, store.filter(schedule="rex", budget_fraction=0.3))
 
 
 class TestTextPlot:
