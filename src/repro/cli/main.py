@@ -180,18 +180,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser, execution: bool) -> N
                 "escape hatch (default: on, or the REPRO_PLAN environment switch)"
             ),
         )
-        parser.add_argument(
-            "--plan-passes",
-            default=None,
-            metavar="PASSES",
-            help=(
-                "plan compiler passes: a comma-separated subset of "
-                "alias,fuse,dce,parallel, or 'none'/'all'.  Every combination "
-                "is bitwise identical to --no-plan; passes only change "
-                "allocation and wall-clock behaviour (default: the "
-                "REPRO_PLAN_PASSES environment switch, i.e. alias,fuse,dce)"
-            ),
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--batch-seeds", action=argparse.BooleanOptionalAction, default=False)
     p_serve.add_argument("--plan", action=argparse.BooleanOptionalAction, default=None)
-    p_serve.add_argument("--plan-passes", default=None, metavar="PASSES")
 
     p_worker = sub.add_parser(
         "worker", help="lease cells from a work queue, train them, publish to the cache"
@@ -471,7 +458,6 @@ def _add_history_parsers(sub: "argparse._SubParsersAction") -> None:
     )
     p_rec.add_argument("--batch-seeds", action=argparse.BooleanOptionalAction, default=False)
     p_rec.add_argument("--plan", action=argparse.BooleanOptionalAction, default=None)
-    p_rec.add_argument("--plan-passes", default=None, metavar="PASSES")
 
     p_show = hist_sub.add_parser("show", help="render the drift history as markdown")
     p_show.add_argument("--history", **{**history_flag, "default": DEFAULT_HISTORY_PATH})
@@ -536,7 +522,6 @@ def _context_from(args: argparse.Namespace) -> "ExecutionContext":
             cache=getattr(args, "cache_dir", "") or None,
             batch_seeds=getattr(args, "batch_seeds", False),
             plan=getattr(args, "plan", None),
-            plan_passes=getattr(args, "plan_passes", None),
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
@@ -647,7 +632,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache=args.cache_dir,
             batch_seeds=args.batch_seeds,
             plan=args.plan,
-            plan_passes=args.plan_passes,
             executor="queue" if args.queue else "auto",
             queue=args.queue,
             queue_inline=args.inline,

@@ -20,7 +20,9 @@ Three properties make it a *fabric* rather than a script runner:
 * **Pluggable execution** — cells run inline (serial or process pool) or are
   submitted to the sqlite :class:`~repro.execution.queue.WorkQueue`, where
   detached ``python -m repro worker`` processes lease, heartbeat and complete
-  them.
+  them.  Cells trained inside the server process run one request at a time
+  (the engine's in-process training lock); the cache-only assembly of each
+  report never waits on it.
 
 Endpoints: ``GET /healthz``, ``GET /stats``, ``GET /v1/artifacts`` and
 ``GET/POST /v1/report`` (``artifact=``, ``scale=``, ``seeds=``, ``dtype=``).

@@ -36,9 +36,6 @@ _UNSET = UNSET
 #: executor backend names accepted by :class:`ExecutionContext` / the engine
 EXECUTORS = ("auto", "serial", "process", "queue")
 
-_FALSY = {"0", "false", "no", "off", ""}
-
-
 def resolve_cache_spec(cache: Any) -> Any:
     """Turn a cache *spec* into a live cache object.
 
@@ -86,13 +83,6 @@ class ExecutionContext:
     plan:
         Graph-planning pin (``True``/``False``) or ``None`` to defer to the
         ambient ``REPRO_PLAN`` switch.
-    plan_passes:
-        Plan compiler-pass selection (see :mod:`repro.nn.plan_passes`): a
-        comma-separated string of pass names (``alias``/``fuse``/``dce``/
-        ``parallel``), ``"none"``, ``"all"``, or ``None`` to defer to the
-        ambient ``REPRO_PLAN_PASSES`` default.  Like ``plan`` itself, passes
-        are an execution detail — every combination is bitwise identical —
-        so they never enter cache fingerprints.
     dtype:
         Default dtype for *planned* cells (``"float32"``/``"float64"``, or
         the emulated ``"bfloat16"``/``"float16"``), or
@@ -123,7 +113,6 @@ class ExecutionContext:
     retries: int = 1
     batch_seeds: bool = False
     plan: bool | None = None
-    plan_passes: str | None = None
     dtype: str | None = None
     executor: str = "auto"
     queue: Any = None
@@ -137,10 +126,6 @@ class ExecutionContext:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
-        if self.plan_passes is not None:
-            from repro.nn.plan import parse_passes
-
-            parse_passes(self.plan_passes)  # fail fast on unknown pass names
         if self.retry_policy is not None:
             from repro.execution.retry import RetryPolicy
 
@@ -181,12 +166,8 @@ class ExecutionContext:
         ``REPRO_BENCH_CACHE_DIR``
             Cache directory or ``http(s)://`` store URL (``cache``).
         ``REPRO_PLAN``
-            Graph-planning switch; unset leaves ``plan=None`` (ambient
-            default: on).
-        ``REPRO_PLAN_PASSES``
-            Plan compiler-pass selection (comma-separated names, ``none``,
-            or ``all``); unset leaves ``plan_passes=None`` (ambient default:
-            ``alias,fuse,dce``).
+            Graph-planning switch; unset or empty leaves ``plan=None``
+            (ambient default: on).
         ``REPRO_DTYPE``
             Default cell dtype.
         ``REPRO_EXECUTOR``
@@ -196,29 +177,34 @@ class ExecutionContext:
         ``REPRO_BATCH_SEEDS``
             Seed-stacked training switch.
 
+        Both switches parse with :func:`repro.nn.plan.env_flag`, the parser
+        :func:`~repro.nn.plan.plan_enabled_default` uses too.
+
         Explicit ``overrides`` win over the environment.  (``REPRO_PLAN`` is
         *also* read ambiently by :mod:`repro.nn.plan` at step time — that is
         the mechanism engines use to ship the switch to pool workers — but
         configuration decisions all flow through here.)
         """
+        from repro.nn.plan import env_flag
+
         env = os.environ if environ is None else environ
         values: dict[str, Any] = {}
         if env.get("REPRO_BENCH_WORKERS"):
             values["workers"] = max(1, int(env["REPRO_BENCH_WORKERS"]))
         if env.get("REPRO_BENCH_CACHE_DIR"):
             values["cache"] = env["REPRO_BENCH_CACHE_DIR"]
-        if env.get("REPRO_PLAN") is not None:
-            values["plan"] = env["REPRO_PLAN"].strip().lower() not in _FALSY
-        if env.get("REPRO_PLAN_PASSES") is not None:
-            values["plan_passes"] = env["REPRO_PLAN_PASSES"]
+        plan = env_flag(env.get("REPRO_PLAN"))
+        if plan is not None:
+            values["plan"] = plan
         if env.get("REPRO_DTYPE"):
             values["dtype"] = env["REPRO_DTYPE"]
         if env.get("REPRO_EXECUTOR"):
             values["executor"] = env["REPRO_EXECUTOR"].strip().lower()
         if env.get("REPRO_QUEUE"):
             values["queue"] = env["REPRO_QUEUE"]
-        if env.get("REPRO_BATCH_SEEDS") is not None:
-            values["batch_seeds"] = env["REPRO_BATCH_SEEDS"].strip().lower() not in _FALSY
+        batch_seeds = env_flag(env.get("REPRO_BATCH_SEEDS"))
+        if batch_seeds is not None:
+            values["batch_seeds"] = batch_seeds
         values.update(overrides)
         return cls(**values)
 

@@ -14,11 +14,12 @@ regardless of which worker finishes first, so ``max_workers=8`` produces a
 from __future__ import annotations
 
 import os
+import threading
 import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -30,6 +31,13 @@ from repro.utils.records import RunRecord, RunStore
 __all__ = ["EngineReport", "ExperimentEngine", "run_configs"]
 
 RunFn = Callable[[Any], RunRecord]
+
+#: Held while cells train in this process (the serial backend, or the queue
+#: backend leasing inline).  Grad mode, the active graph plan and the
+#: ``REPRO_PLAN`` switch are process-global, so two threads must never train
+#: at once — e.g. two ``repro serve`` requests missing different cells.
+#: Reentrant so a cell that runs its own serial engine cannot deadlock.
+_IN_PROCESS_TRAINING = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -47,34 +55,26 @@ class _Job:
 
 
 @contextmanager
-def _plan_env(plan: bool | None, plan_passes: str | None = None) -> Iterator[None]:
-    """Scope the ``REPRO_PLAN`` / ``REPRO_PLAN_PASSES`` switches around one engine run.
+def _plan_env(plan: bool | None) -> Iterator[None]:
+    """Scope the ``REPRO_PLAN`` switch around one engine run.
 
-    Graph planning (and its compiler-pass selection) is a pure execution
-    detail (results are bitwise identical either way), so it travels to the
-    workers through the environment — the process pool is created inside the
-    scope and inherits it — instead of through the cell payloads, whose bytes
-    are the cache fingerprint.
+    Graph planning is a pure execution detail (results are bitwise identical
+    either way), so it travels to the workers through the environment — the
+    process pool is created inside the scope and inherits it — instead of
+    through the cell payloads, whose bytes are the cache fingerprint.
     """
-    scoped: list[tuple[str, str | None]] = []
-    if plan is not None:
-        scoped.append(("REPRO_PLAN", "1" if plan else "0"))
-    if plan_passes is not None:
-        scoped.append(("REPRO_PLAN_PASSES", plan_passes))
-    if not scoped:
+    if plan is None:
         yield
         return
-    previous = {name: os.environ.get(name) for name, _ in scoped}
-    for name, value in scoped:
-        os.environ[name] = value
+    previous = os.environ.get("REPRO_PLAN")
+    os.environ["REPRO_PLAN"] = "1" if plan else "0"
     try:
         yield
     finally:
-        for name, old in previous.items():
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
+        if previous is None:
+            os.environ.pop("REPRO_PLAN", None)
+        else:
+            os.environ["REPRO_PLAN"] = previous
 
 
 def _default_run_fn() -> RunFn:
@@ -233,10 +233,6 @@ class ExperimentEngine:
         unless ``REPRO_PLAN`` is falsy — untouched.  Records are bitwise
         identical either way; like ``batch_seeds`` it only changes
         wall-clock (and allocation) behaviour.
-    plan_passes:
-        Plan compiler-pass selection (:mod:`repro.nn.plan_passes`), shipped
-        to workers as ``REPRO_PLAN_PASSES`` alongside the plan switch.
-        ``None`` (default) leaves the ambient selection untouched.
     context:
         An :class:`~repro.execution.context.ExecutionContext` supplying every
         field above (plus the executor backend) in one object — the preferred
@@ -261,7 +257,6 @@ class ExperimentEngine:
         run_fn: RunFn | None = None,
         batch_seeds: bool = False,
         plan: bool | None = None,
-        plan_passes: str | None = None,
         context: ExecutionContext | None = None,
         executor: str = "auto",
         queue: Any = None,
@@ -275,7 +270,6 @@ class ExperimentEngine:
             retries = context.retries
             batch_seeds = context.batch_seeds
             plan = context.plan
-            plan_passes = context.plan_passes
             executor = context.executor
             queue = context.resolve_queue()
             queue_inline = context.queue_inline
@@ -308,7 +302,6 @@ class ExperimentEngine:
         self.run_fn = run_fn
         self.batch_seeds = batch_seeds
         self.plan = plan
-        self.plan_passes = plan_passes
         self.executor = executor
         if isinstance(queue, (str, Path)):
             from repro.execution.queue import WorkQueue
@@ -369,7 +362,9 @@ class ExperimentEngine:
                 jobs = self._make_jobs(run_fn, plan, pending, report)
                 backend = self._resolve_backend(len(jobs))
                 report.executor = backend
-                with _plan_env(self.plan, self.plan_passes):
+                in_process = backend == "serial" or (backend == "queue" and self.queue_inline)
+                lock = _IN_PROCESS_TRAINING if in_process else nullcontext()
+                with lock, _plan_env(self.plan):
                     if backend == "queue":
                         self._run_queue(plan, keys, jobs, results, report)
                     elif backend == "serial":

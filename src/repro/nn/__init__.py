@@ -18,7 +18,7 @@ from repro.nn.dtype import (
     storage_dtype,
 )
 from repro.nn.lowprec import LossScaler, LowPrecisionState, MasterWeights
-from repro.nn.plan import GraphPlan, parse_passes, plan_enabled_default, plan_passes_default
+from repro.nn.plan import GraphPlan, plan_enabled_default
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled, concatenate, stack, where
 from repro.nn import functional
 from repro.nn import init
@@ -66,10 +66,8 @@ __all__ = [
     "LowPrecisionState",
     "MasterWeights",
     "GraphPlan",
-    "parse_passes",
     "plan",
     "plan_enabled_default",
-    "plan_passes_default",
     "Tensor",
     "no_grad",
     "is_grad_enabled",

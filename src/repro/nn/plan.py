@@ -50,12 +50,18 @@ The captured tape is an IR, and after the capture step the plan runs a small
 compiler over it (see :mod:`repro.nn.plan_passes`): buffer-lifetime analysis
 remaps arena positions with disjoint live ranges onto shared storage
 (``alias``), single-consumer elementwise chains collapse into fused backward
-kernels (``fuse``), closures that provably no-op are dropped from the
-backward schedule (``dce``), and — opt-in — independent backward nodes
-dispatch across a shared thread pool (``parallel``).  Every pass preserves
-the planned-vs-unplanned bitwise-equality contract; the pass list is
-configurable per plan (``GraphPlan(passes=...)``), per trainer
-(``plan_passes=``) and ambiently (``REPRO_PLAN_PASSES``).
+kernels (``fuse``), and closures that provably no-op are dropped from the
+backward schedule (``dce``).  The pipeline is fixed — every planned step
+compiles all three passes, and there is no pass selection.  Each preserves
+the planned-vs-unplanned bitwise-equality contract; ``REPRO_PLAN=0`` (the
+CLI's ``--no-plan``) runs without a plan and is the oracle.
+
+The op tags (:func:`tag`, :meth:`GraphPlan.tag_op`) guard the compiled
+schedule: a replay step runs it only if every tagged op of the capture was
+seen again with the same identity.  ``execute_schedule`` resets the cursor to
+each closure's captured start, so an op swapped at a captured position whose
+closure checked out more buffers could otherwise overwrite the positions of
+the next closure.
 
 Under the ``alias`` pass an intermediate activation's buffer may be
 overwritten *within* a step once its captured last use has passed; only the
@@ -63,18 +69,20 @@ backward root's forward buffers (the loss a trainer reads after the step
 scope) and leaf gradients (parameter/input ``.grad``, read by optimizers and
 tests after backward) are pinned to stable storage.
 
-Planned stepping is **per-thread-sequential**: a plan must not be active on
-two threads at once.  The experiment engine parallelises with *processes*, so
-every worker owns its plans outright; the step scope save/restores the
-previously active plan, making nested or interleaved scopes on one thread
+In-process training is **single-threaded**.  The active plan
+(:data:`ACTIVE`), grad mode and the ``REPRO_PLAN`` switch are process-global,
+so two threads must never train at once; concurrency comes from *processes*
+(the engine's pool and queue workers each own their plans outright).  The
+engine trains the cells it runs in its own process behind one lock, which is
+what keeps concurrent ``repro serve`` requests safe.  The step scope
+save/restores the previously active plan, making nested scopes on one thread
 safe.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -83,15 +91,7 @@ from repro.nn import plan_passes as _passes_mod
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tensor imports plan)
     from repro.nn.tensor import Tensor
 
-__all__ = [
-    "DEFAULT_PASSES",
-    "GraphPlan",
-    "KNOWN_PASSES",
-    "get_active",
-    "parse_passes",
-    "plan_enabled_default",
-    "plan_passes_default",
-]
+__all__ = ["GraphPlan", "env_flag", "get_active", "plan_enabled_default"]
 
 
 #: The plan whose arena the kernels currently draw from (``None`` almost
@@ -127,69 +127,29 @@ def tag(tensor: "Tensor", kind: str, meta: object = None) -> None:
         plan.tag_op(tensor, kind, meta)
 
 
+def env_flag(value: str | None) -> bool | None:
+    """Parse an on/off ``REPRO_*`` switch; ``None`` when unset or empty.
+
+    ``0``/``false``/``off``/``no`` (any case) mean off, anything else on.
+    This is the one parser for such switches, shared by
+    :func:`plan_enabled_default` and ``ExecutionContext.from_env``.
+    """
+    if value is None:
+        return None
+    text = value.strip().lower()
+    if not text:
+        return None
+    return text not in _FALSY
+
+
 def plan_enabled_default() -> bool:
     """Whether graph planning is on by default (the ``REPRO_PLAN`` switch).
 
     Planning is **opt-out**: it is enabled unless ``REPRO_PLAN`` is set to a
-    falsy spelling (``0``/``false``/``off``/``no``).  Trainers consult this
-    when their ``plan=`` argument is ``None``.
+    falsy spelling (see :func:`env_flag`; empty counts as unset).  Trainers
+    consult this when their ``plan=`` argument is ``None``.
     """
-    return os.environ.get("REPRO_PLAN", "1").strip().lower() not in _FALSY
-
-
-#: passes run by default after the capture step — each preserves bitwise
-#: equality with unplanned execution, so they are on unless disabled
-DEFAULT_PASSES: tuple[str, ...] = ("alias", "fuse", "dce")
-
-#: every pass the compiler knows; ``parallel`` is opt-in (it keeps bitwise
-#: determinism but trades single-thread latency for concurrency, which only
-#: pays off on wide graphs)
-KNOWN_PASSES: tuple[str, ...] = ("alias", "fuse", "dce", "parallel")
-
-
-def parse_passes(spec: "str | Iterable[str] | None") -> tuple[str, ...]:
-    """Normalise a pass specification to a validated tuple of pass names.
-
-    Accepts ``None`` (the defaults), a comma-separated string (``"alias,fuse"``,
-    with ``"none"``/``"off"``/``""`` meaning no passes, ``"default"`` the
-    default set, and ``"all"`` every known pass), or any iterable of names.
-    Unknown names raise ``ValueError`` — a typo must not silently disable an
-    optimisation.
-    """
-    if spec is None:
-        return DEFAULT_PASSES
-    if isinstance(spec, str):
-        text = spec.strip().lower()
-        if text in {"", "none", "off"}:
-            return ()
-        if text == "default":
-            return DEFAULT_PASSES
-        if text == "all":
-            return KNOWN_PASSES
-        names = [part.strip() for part in text.split(",") if part.strip()]
-    else:
-        names = [str(part).strip().lower() for part in spec]
-    seen: list[str] = []
-    for name in names:
-        if name not in KNOWN_PASSES:
-            known = ", ".join(KNOWN_PASSES)
-            raise ValueError(
-                f"unknown plan pass {name!r}; known passes: {known} (or 'none'/'default'/'all')"
-            )
-        if name not in seen:
-            seen.append(name)
-    return tuple(seen)
-
-
-def plan_passes_default() -> tuple[str, ...]:
-    """The ambient pass list (the ``REPRO_PLAN_PASSES`` switch).
-
-    Unset means :data:`DEFAULT_PASSES`; any spelling accepted by
-    :func:`parse_passes` works, e.g. ``REPRO_PLAN_PASSES=none`` to run plain
-    PR-5 style capture/replay or ``REPRO_PLAN_PASSES=all`` to add parallel
-    dispatch.  Plans created with ``passes=None`` consult this.
-    """
-    return parse_passes(os.environ.get("REPRO_PLAN_PASSES"))
+    return env_flag(os.environ.get("REPRO_PLAN")) is not False
 
 
 class _PlanStep:
@@ -234,7 +194,6 @@ class GraphPlan:
         "_sigs",
         "_topo_idx",
         "_topo_root",
-        "_passes",
         "_ops",
         "_reqs",
         "_node_pos",
@@ -249,9 +208,6 @@ class GraphPlan:
         "_tags_seen",
         "_pre_bw_tags",
         "_schedule",
-        "_waves",
-        "_tls",
-        "_parallel_exec",
         "_staging_nbytes",
         "steps",
         "reused_checkouts",
@@ -264,7 +220,7 @@ class GraphPlan:
         "aliased_positions",
     )
 
-    def __init__(self, passes: "str | Iterable[str] | None" = None) -> None:
+    def __init__(self) -> None:
         #: the process-globally unique id of the current step (see
         #: ``_next_generation``); stamps node registrations
         self.generation = 0
@@ -284,7 +240,6 @@ class GraphPlan:
         self._topo_idx: list[int] | None = None
         self._topo_root = -1
         # -- compiler inputs (filled during the capture step)
-        self._passes = plan_passes_default() if passes is None else parse_passes(passes)
         self._ops: dict[int, tuple] = {}
         self._reqs: list[bool] = []
         self._node_pos: list[int] = []
@@ -300,9 +255,6 @@ class GraphPlan:
         self._pre_bw_tags = 0
         # -- compiler outputs (None until compiled)
         self._schedule: list | None = None
-        self._waves: list[list] | None = None
-        self._tls: threading.local | None = None
-        self._parallel_exec = False
         self._staging_nbytes = 0
         # -- counters (observability for tests and the microbench)
         self.steps = 0
@@ -314,11 +266,6 @@ class GraphPlan:
         self.fused_chains = 0
         self.dce_dropped = 0
         self.aliased_positions = 0
-
-    @property
-    def passes(self) -> tuple[str, ...]:
-        """The compiler passes this plan runs after its capture step."""
-        return self._passes
 
     # -- lifecycle ----------------------------------------------------------
     def step(self) -> _PlanStep:
@@ -340,7 +287,7 @@ class GraphPlan:
         if self.capturing:
             self._captured = True
             self.capturing = False
-            if self._passes and self._bw_records is not None and not self._bw_invalid:
+            if self._bw_records is not None and not self._bw_invalid:
                 _passes_mod.compile_step(self)
         if self._diverged:
             self.diverged_steps += 1
@@ -365,21 +312,6 @@ class GraphPlan:
             self._pos += 1
             self.fresh_checkouts += 1
             return buf
-        if self._parallel_exec:
-            # Parallel dispatch: each worker carries its item's captured start
-            # position in thread-local state (wave scheduling guarantees
-            # distinct items touch distinct positions — see plan_passes).
-            tls = self._tls
-            pos = tls.pos
-            if self._match and pos < len(self._keys):
-                key = self._keys[pos]
-                if key[0] == shape and key[1] == dtype:
-                    tls.pos = pos + 1
-                    self.reused_checkouts += 1
-                    return self._buffers[pos]
-            self._note_divergence()
-            self.fresh_checkouts += 1
-            return np.empty(shape, dtype)
         pos = self._pos
         if self._match and pos < len(self._keys):
             key = self._keys[pos]
@@ -548,7 +480,7 @@ class GraphPlan:
     # is what lifetime analysis and schedule replay both key on.
     def wants_backward_capture(self) -> bool:
         """Whether this step's backward should be recorded for compilation."""
-        return self.capturing and bool(self._passes) and not self._bw_seen
+        return self.capturing and not self._bw_seen
 
     def begin_backward(self, root: "Tensor") -> None:
         """Mark the start of the capture step's backward (before the seed)."""
@@ -584,7 +516,7 @@ class GraphPlan:
         backward.  On success the caller must seed the root gradient and then
         call :meth:`execute_schedule`.
         """
-        if self._schedule is None and self._waves is None:
+        if self._schedule is None:
             return False
         if (
             self._match
@@ -610,40 +542,15 @@ class GraphPlan:
         """
         nodes = self._nodes
         try:
-            if self._waves is not None:
-                self._execute_waves(nodes)
-            else:
-                for start, op in self._schedule:
-                    self._pos = start
-                    if type(op) is int:
-                        node = nodes[op]
-                        node._backward(node)
-                    else:
-                        op.execute(self, nodes)
+            for start, op in self._schedule:
+                self._pos = start
+                if type(op) is int:
+                    node = nodes[op]
+                    node._backward(node)
+                else:
+                    op.execute(self, nodes)
         finally:
             self._pos = self._bw_end
-            self._parallel_exec = False
-
-    def _execute_waves(self, nodes: "list[Tensor]") -> None:
-        pool = _passes_mod.shared_pool()
-        run = self._run_item
-        self._parallel_exec = True
-        for wave in self._waves:
-            if len(wave) == 1:
-                run(wave[0], nodes)
-            else:
-                futures = [pool.submit(run, item, nodes) for item in wave]
-                for future in futures:
-                    future.result()
-
-    def _run_item(self, item: tuple, nodes: "list[Tensor]") -> None:
-        start, op = item
-        self._tls.pos = start
-        if type(op) is int:
-            node = nodes[op]
-            node._backward(node)
-        else:
-            op.execute(self, nodes)
 
     # -- arena accounting -----------------------------------------------------
     def arena_nbytes(self) -> int:

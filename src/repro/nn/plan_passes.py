@@ -5,8 +5,10 @@ the training step: the arena checkout log (``_keys``), the graph signature
 (``_sigs``/``_reqs``/``_ops``), the per-node registration watermarks
 (``_node_pos``) and the backward execution records (``_bw_records`` — one
 ``(node, start, end)`` checkout range per executed closure).  ``compile_step``
-runs the enabled passes over that IR and installs a *backward schedule* the
-plan replays on every later step:
+runs three passes over that IR and installs a *backward schedule* the plan
+replays on every later step.  The passes are not selectable: every planned
+step compiles all three, and ``REPRO_PLAN=0`` / ``--no-plan`` (no plan at
+all) is the unplanned oracle they are checked against.
 
 ``alias`` — buffer lifetime analysis + storage aliasing
     The arena cursor is a clock: every checkout position has a birth time (its
@@ -38,29 +40,14 @@ plan replays on every later step:
     what licenses not materialising them.
 
 ``dce`` — dead-node elimination
-    Drops schedule items that provably no-op: leaf closures (the default
-    ``lambda: None``) and interior nodes whose gradient can never flow from
+    Drops schedule items that provably no-op: leaf closures (the shared
+    ``_leaf_backward``) and interior nodes whose gradient can never flow from
     the root (no live consumer path with ``requires_grad``).  Dropped closures
     made zero checkouts during capture, so the arena walk is unchanged.
-
-``parallel`` — wave-scheduled node dispatch (opt-in)
-    Items are grouped into waves: an item waits for the items that write its
-    node's gradient (its consumers) and for any earlier item that accumulates
-    into one of its parents.  Two accumulations into the same parent are
-    thereby serialised *in captured order*, so floating-point accumulation
-    order — and hence bitwise equality — is preserved; items inside one wave
-    share no gradient buffer and may run concurrently (BLAS and most numpy
-    ufuncs release the GIL).  When ``parallel`` is enabled the ``alias`` pass
-    pins all forward buffers to the end of backward so concurrent closures
-    can never observe a same-step overwrite, and each worker carries its
-    item's captured cursor in thread-local state.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -69,32 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.plan import GraphPlan
     from repro.nn.tensor import Tensor
 
-__all__ = ["FusedChain", "compile_step", "shared_pool"]
-
-
-# ---------------------------------------------------------------------------
-# shared worker pool (``parallel`` pass)
-# ---------------------------------------------------------------------------
-
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def shared_pool() -> ThreadPoolExecutor:
-    """Process-wide pool for parallel node dispatch (lazy; shared by plans).
-
-    Capped at four workers: backward waves are rarely wider, and the pool is
-    shared so a session that builds many plans does not accumulate threads.
-    """
-    global _POOL
-    if _POOL is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                _POOL = ThreadPoolExecutor(
-                    max_workers=max(1, min(4, os.cpu_count() or 1)),
-                    thread_name_prefix="repro-plan",
-                )
-    return _POOL
+__all__ = ["FusedChain", "compile_step"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +277,7 @@ def _find_chains(
     reqs: list[bool],
     ops: dict[int, tuple],
     nodes: "list[Tensor]",
-    live: set[int] | None,
+    live: set[int],
 ) -> list[FusedChain]:
     """Extract maximal fusible producer->unique-consumer chains (length >= 2)."""
     consumers: dict[int, int] = {}
@@ -345,7 +307,7 @@ def _find_chains(
         path = [start_idx]
         while path[-1] in nxt:
             path.append(nxt[path[-1]])
-        if live is not None and any(m not in live for m in path):
+        if any(m not in live for m in path):
             continue  # gradient never reaches this chain; leave it to dce
         head, tail = path[0], path[-1]
         steps: list = []
@@ -396,14 +358,11 @@ def _compute_live(
 # buffer lifetime analysis + aliasing (``alias``)
 # ---------------------------------------------------------------------------
 
-def _release_times(
-    plan: "GraphPlan", chains: list[FusedChain], conservative: bool
-) -> list[float]:
+def _release_times(plan: "GraphPlan", chains: list[FusedChain]) -> list[float]:
     """Conservative release time (arena position) for every checkout position.
 
     ``inf`` pins a position to private storage for the whole step.  See the
-    module docstring for the ownership model; ``conservative`` (used under
-    ``parallel``) extends every forward release to the end of backward.
+    module docstring for the ownership model.
     """
     sigs = plan._sigs
     node_pos = plan._node_pos
@@ -432,8 +391,6 @@ def _release_times(
         npos = min(node_pos[i], bw_start)
         if npos > ptr:
             end = inf if i == root_idx else closure_end.get(i, inf)
-            if conservative and end is not inf:
-                end = bw_end
             for p in range(ptr, npos):
                 release[p] = end
             ptr = npos
@@ -450,12 +407,10 @@ def _release_times(
     return release
 
 
-def _alias_storage(
-    plan: "GraphPlan", chains: list[FusedChain], conservative: bool
-) -> list[int]:
+def _alias_storage(plan: "GraphPlan", chains: list[FusedChain]) -> list[int]:
     """Greedy storage remap: position -> position whose buffer it shares."""
     keys = plan._keys
-    release = _release_times(plan, chains, conservative)
+    release = _release_times(plan, chains)
     total = len(keys)
     storage = list(range(total))
     # per-(shape, dtype) storages with their current release time
@@ -480,56 +435,17 @@ def _alias_storage(
 
 
 # ---------------------------------------------------------------------------
-# wave scheduling (``parallel``)
-# ---------------------------------------------------------------------------
-
-def _build_waves(schedule: list[tuple], sigs: list, reqs: list[bool]) -> list[list[tuple]]:
-    """Group schedule items into dependency waves that preserve FP order.
-
-    An item waits for (a) every earlier item that writes its node's gradient
-    and (b) every earlier item accumulating into one of its parents — (b) is
-    what keeps multiple contributions to a shared parent in captured order,
-    which makes parallel dispatch bitwise-deterministic.
-    """
-    wrote: dict[int, int] = {}
-    waves: list[list[tuple]] = []
-    for item in schedule:
-        op = item[1]
-        if type(op) is int:
-            reads = op
-            targets = [p for p in (sigs[op][2] or ()) if reqs[p]]
-        else:
-            reads = op.tail_idx
-            targets = [op.parent_idx]
-        w = wrote.get(reads, 0)
-        for p in targets:
-            last = wrote.get(p, 0)
-            if last > w:
-                w = last
-        w += 1
-        for p in targets:
-            wrote[p] = w
-        while len(waves) < w:
-            waves.append([])
-        waves[w - 1].append(item)
-    return waves
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
 def compile_step(plan: "GraphPlan") -> None:
-    """Run the plan's enabled passes and install the compiled backward schedule."""
-    passes = plan._passes
+    """Run ``dce``, ``fuse`` and ``alias`` and install the compiled backward schedule."""
     records = plan._bw_records
     sigs = plan._sigs
     reqs = plan._reqs
     ops = plan._ops
-    live = _compute_live(records, sigs, reqs, plan._bw_root) if "dce" in passes else None
-    chains = (
-        _find_chains(records, sigs, reqs, ops, plan._nodes, live) if "fuse" in passes else []
-    )
+    live = _compute_live(records, sigs, reqs, plan._bw_root)
+    chains = _find_chains(records, sigs, reqs, ops, plan._nodes, live)
     head_to_chain = {chain.head_idx: chain for chain in chains}
     fused_members = {m for chain in chains for m in chain.members if m != chain.head_idx}
     schedule: list[tuple] = []
@@ -541,7 +457,7 @@ def compile_step(plan: "GraphPlan") -> None:
             continue
         if idx in fused_members:
             continue  # executes inside its chain, at the head's slot
-        if live is not None and (sigs[idx][2] is None or idx not in live):
+        if sigs[idx][2] is None or idx not in live:
             dropped += 1  # leaf default closure, or unreachable gradient
             continue
         schedule.append((start, idx))
@@ -549,14 +465,8 @@ def compile_step(plan: "GraphPlan") -> None:
     plan.dce_dropped = dropped
     plan._staging_nbytes = sum(chain.staging_nbytes for chain in chains)
     plan._pre_bw_tags = sum(1 for i in ops if i < plan._bw_nodes)
-    if "alias" in passes:
-        storage = _alias_storage(plan, chains, conservative="parallel" in passes)
-        buffers = plan._buffers
-        plan._buffers = [buffers[storage[p]] for p in range(len(buffers))]
-        plan.aliased_positions = sum(1 for p, sp in enumerate(storage) if sp != p)
-    if "parallel" in passes:
-        plan._waves = _build_waves(schedule, sigs, reqs)
-        plan._tls = threading.local()
-        plan._schedule = None
-    else:
-        plan._schedule = schedule
+    storage = _alias_storage(plan, chains)
+    buffers = plan._buffers
+    plan._buffers = [buffers[storage[p]] for p in range(len(buffers))]
+    plan.aliased_positions = sum(1 for p, sp in enumerate(storage) if sp != p)
+    plan._schedule = schedule

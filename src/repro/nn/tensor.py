@@ -406,9 +406,9 @@ class Tensor:
         # Cast-on-store for *leaf* gradients: the gradient a parameter hands
         # to the optimizer lives on the emulated grid, quantized after every
         # contribution lands.  Interior gradients deliberately stay float32 —
-        # the fused backward chains compiled by repro.nn.plan_passes replicate
-        # the closure ufunc sequences (not ``_accumulate``), so quantizing
-        # interior accumulations would break the pass≡no-pass bitwise oracle.
+        # every planned step replays fused backward chains (repro.nn.plan_passes)
+        # that repeat the closure ufunc sequences but not ``_accumulate``, so
+        # quantizing interior accumulations would break planned≡unplanned.
         if self.requires_grad and not self._prev:
             emulation = active_emulation()
             if emulation is not None and self.grad.dtype == emulation.storage:
@@ -474,9 +474,8 @@ class Tensor:
                 plan.capture_topo(self, topo)
 
         if plan is not None and plan.wants_backward_capture():
-            # Capture step with compiler passes enabled: record each closure's
-            # checkout range so compile_step can analyse lifetimes and build
-            # the replay schedule.
+            # Capture step: record each closure's checkout range so
+            # compile_step can analyse lifetimes and build the replay schedule.
             plan.begin_backward(self)
             self._accumulate(grad)
             plan.note_seed_done()

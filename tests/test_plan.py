@@ -265,6 +265,21 @@ def test_plan_enabled_default_env(monkeypatch):
     assert plan_enabled_default() is True
 
 
+@pytest.mark.parametrize("value", [None, "", "0", "off", "1"])
+def test_plan_switch_parses_one_way(monkeypatch, value):
+    """The trainers' default and the execution context read REPRO_PLAN alike."""
+    from repro.execution.context import ExecutionContext
+
+    if value is None:
+        monkeypatch.delenv("REPRO_PLAN", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_PLAN", value)
+    context_plan = ExecutionContext.from_env().plan
+    resolved = plan_enabled_default() if context_plan is None else context_plan
+    assert resolved is plan_enabled_default()
+    assert resolved is (value not in ("0", "off"))
+
+
 def test_trainer_resolves_plan_from_env(monkeypatch):
     from repro.experiments.settings import get_setting
     from repro.experiments.workloads import build_workload

@@ -9,6 +9,7 @@ the reports each client writes are byte-identical to what a local
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.request
 
@@ -30,6 +31,26 @@ def server(tmp_path):
     srv.start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture(scope="module")
+def local_report(tmp_path_factory):
+    """``name -> {suffix: bytes}`` of a local ``repro report``, each trained once."""
+    reports: dict[str, dict[str, bytes]] = {}
+
+    def render(name: str) -> dict[str, bytes]:
+        if name not in reports:
+            root = tmp_path_factory.mktemp(f"local-{name}")
+            artifact = get_artifact(name)
+            scale = resolve_scale(SCALE, seeds=SEEDS)
+            store, _ = execute_artifact(artifact, scale, context=ExecutionContext(cache=root / "cache"))
+            write_report(artifact.build(store, scale), scale, root / "out")
+            reports[name] = {
+                suffix: (root / "out" / f"{name}{suffix}").read_bytes() for suffix in (".md", ".json")
+            }
+        return reports[name]
+
+    return render
 
 
 def fetch_json(url: str) -> dict:
@@ -63,7 +84,7 @@ class TestEndpoints:
 
 
 class TestServedReports:
-    def test_report_stream_and_byte_identical_output(self, server, tmp_path):
+    def test_report_stream_and_byte_identical_output(self, server, tmp_path, local_report):
         """One request: NDJSON events arrive in order, files match local output."""
         events = []
         out = tmp_path / "served"
@@ -79,16 +100,8 @@ class TestServedReports:
         assert kinds[0] == "plan" and "executed" in kinds
         assert report["event"] == "report" and report["artifact"] == ARTIFACT
 
-        local_dir = tmp_path / "local"
-        artifact = get_artifact(ARTIFACT)
-        scale = resolve_scale(SCALE, seeds=SEEDS)
-        store, _ = execute_artifact(
-            artifact, scale, context=ExecutionContext(cache=tmp_path / "local-cache")
-        )
-        write_report(artifact.build(store, scale), scale, local_dir)
-        for suffix in (".md", ".json"):
+        for suffix, local in local_report(ARTIFACT).items():
             served = (out / f"{ARTIFACT}{suffix}").read_bytes()
-            local = (local_dir / f"{ARTIFACT}{suffix}").read_bytes()
             assert served == local, f"served {suffix} differs from local report"
 
     def test_concurrent_clients_train_each_cell_once(self, server, tmp_path):
@@ -118,6 +131,45 @@ class TestServedReports:
         # every unique cell trained exactly once across BOTH clients
         assert stats["cells_trained"] == unique_cells
         assert stats["requests"] == 2
+
+    def test_concurrent_clients_train_different_artifacts(self, server, tmp_path, local_report):
+        """Requests missing different cells train in one process, one at a time.
+
+        Grad mode and the active graph plan are process-global, so without
+        the engine's in-process training lock one request's evaluation
+        (``no_grad``) lands in the middle of the other's backward pass.  The
+        third client repeats the second's artifact and joins its cells.
+        """
+        names = (ARTIFACT, "table7", "table7")
+        start = threading.Barrier(len(names))
+        errors: dict[int, Exception] = {}
+
+        def client(idx: int) -> None:
+            start.wait()
+            try:
+                request_report(server.url, names[idx], scale=SCALE, seeds=SEEDS, out_dir=tmp_path / str(idx))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors[idx] = exc
+
+        threads = [threading.Thread(target=client, args=(idx,)) for idx in range(len(names))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a client never finished"
+
+        assert not errors, f"served requests failed: {errors}"
+        for idx, name in enumerate(names):
+            for suffix, local in local_report(name).items():
+                served = (tmp_path / str(idx) / f"{name}{suffix}").read_bytes()
+                assert served == local, f"client {idx}: served {name}{suffix} differs from local report"
+        stats = server.stats()
+        assert stats["cells_trained"] == stats["cache_entries"]
 
     def test_second_request_is_pure_cache(self, server, tmp_path):
         request_report(server.url, ARTIFACT, scale=SCALE, seeds=SEEDS)
