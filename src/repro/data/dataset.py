@@ -14,7 +14,8 @@ __all__ = ["Dataset", "ArrayDataset", "Subset", "DataLoader", "train_test_split"
 class Dataset:
     """Abstract map-style dataset: defines ``__len__`` and ``__getitem__``.
 
-    ``__getitem__`` returns a tuple of numpy arrays (inputs..., target).
+    ``__getitem__`` returns a tuple of numpy arrays (inputs..., target);
+    :meth:`take` returns the same fields for a batch of indices.
     """
 
     def __len__(self) -> int:
@@ -22,6 +23,17 @@ class Dataset:
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
+
+    def take(self, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The samples at ``indices``, stacked field by field along a new first axis.
+
+        The default fetches one sample at a time, in order, so datasets that
+        draw randomness per sample (e.g. :class:`~repro.data.transforms.TransformedDataset`)
+        consume it exactly as per-sample access would.  Array-backed datasets
+        override this with one gather per field.
+        """
+        samples = [self[int(i)] for i in indices]
+        return tuple(np.stack(field, axis=0) for field in zip(*samples))
 
 
 class ArrayDataset(Dataset):
@@ -41,6 +53,15 @@ class ArrayDataset(Dataset):
     def __getitem__(self, index: int) -> tuple[np.ndarray, ...]:
         return tuple(a[index] for a in self.arrays)
 
+    def take(self, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One fancy-index gather per field: fresh, writeable, C-ordered copies.
+
+        A gather keeps the layout of a non-contiguous field's trailing axes;
+        ``ascontiguousarray`` (a no-op in the usual case) gives it the C order
+        a per-sample ``np.stack`` would.
+        """
+        return tuple(np.ascontiguousarray(a[indices]) for a in self.arrays)
+
 
 class Subset(Dataset):
     """A view of a dataset restricted to the given indices."""
@@ -57,6 +78,10 @@ class Subset(Dataset):
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, ...]:
         return self.dataset[int(self.indices[index])]
+
+    def take(self, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Map ``indices`` into the parent dataset and delegate the gather to it."""
+        return self.dataset.take(self.indices[indices])
 
 
 def train_test_split(
@@ -75,8 +100,9 @@ def train_test_split(
 class DataLoader:
     """Mini-batch iterator with optional shuffling.
 
-    Batches are assembled by stacking the per-sample arrays, so a dataset
-    yielding ``(image, label)`` produces batches ``(images, labels)``.
+    Each batch is one :meth:`Dataset.take` call on the batch's indices, so a
+    dataset yielding ``(image, label)`` produces batches ``(images, labels)``.
+    Batches are fresh arrays the consumer may modify in place.
     """
 
     def __init__(
@@ -112,8 +138,4 @@ class DataLoader:
             idx = order[start : start + self.batch_size]
             if self.drop_last and len(idx) < self.batch_size:
                 return
-            samples = [self.dataset[int(i)] for i in idx]
-            num_fields = len(samples[0])
-            yield tuple(
-                np.stack([sample[f] for sample in samples], axis=0) for f in range(num_fields)
-            )
+            yield self.dataset.take(idx)

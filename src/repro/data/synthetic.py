@@ -5,15 +5,22 @@ constructed so that learning-rate scheduling visibly matters: class templates
 are separated enough for a small network to learn, but per-sample noise keeps
 mini-batch gradients stochastic so a never-decayed learning rate plateaus at a
 higher error than a decayed one.
+
+The generators are pure functions of their arguments, and a budget sweep asks
+for the same (spec, seed) once per cell and split, so each is memoised per
+process.  Their arrays are shared between callers and therefore read-only;
+datasets index them and the loader's batches are fresh copies.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.utils.seeding import spawn_rng
+from repro.utils.seeding import get_global_seed, spawn_rng
 
 __all__ = [
     "ImageClassificationSpec",
@@ -22,6 +29,31 @@ __all__ = [
     "make_sequence_classification",
     "make_detection_scenes",
 ]
+
+#: generations kept per generator and process: every cell of a table shares
+#: one (spec, seed), a seed-batched cell needs one entry per trial seed, and
+#: the detection proxy's two splits are two entries
+_MEMO_SIZE = 16
+
+_Generator = Callable[..., tuple[np.ndarray, ...]]
+
+
+def _memoised(generate: _Generator) -> _Generator:
+    """LRU-cache ``generate`` on its positional arguments; cached arrays are read-only."""
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def cached(*args: object) -> tuple[np.ndarray, ...]:
+        arrays = generate(*args)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    return cached
+
+
+def _resolve_seed(seed: int | None) -> int:
+    """The base seed :func:`spawn_rng` would use, so equal streams share a cache key."""
+    return get_global_seed() if seed is None else int(seed)
 
 
 @dataclass(frozen=True)
@@ -48,13 +80,20 @@ class ImageClassificationSpec:
 def make_image_classification(
     spec: ImageClassificationSpec, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Generate (x_train, y_train, x_test, y_test).
+    """Generate (x_train, y_train, x_test, y_test) as read-only arrays.
 
     Each class has a fixed smooth random template; samples are
     ``template + noise`` with additive Gaussian noise and a random per-sample
     brightness jitter, producing a non-trivially separable problem whose
     optimum benefits from annealing the learning rate.
     """
+    return _image_classification(spec, _resolve_seed(seed))
+
+
+@_memoised
+def _image_classification(
+    spec: ImageClassificationSpec, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     rng = spawn_rng("image_classification", seed=seed)
     c, h = spec.channels, spec.image_size
     templates = rng.standard_normal((spec.num_classes, c, h, h))
@@ -115,6 +154,8 @@ def make_sequence_classification(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generate a token-sequence task: (tokens, segments, labels) for train and test.
 
+    The six arrays are read-only.
+
     * single-sentence tasks: the label depends on the balance of tokens drawn
       from two designated "sentiment" vocab halves;
     * sentence-pair tasks (``pair=True``): segment ids mark the two sentences
@@ -123,6 +164,13 @@ def make_sequence_classification(
     * regression tasks (``regression=True``): the label is the continuous
       overlap score instead of a class index.
     """
+    return _sequence_classification(spec, _resolve_seed(seed))
+
+
+@_memoised
+def _sequence_classification(
+    spec: SequenceTaskSpec, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     def _make(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         tokens = rng.integers(2, spec.vocab_size, size=(n, spec.seq_len))
         segments = np.zeros((n, spec.seq_len), dtype=np.int64)
@@ -163,7 +211,7 @@ def make_detection_scenes(
     noise_std: float = 0.3,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generate synthetic detection scenes and YOLO-style grid targets.
+    """Generate synthetic detection scenes and YOLO-style grid targets (read-only).
 
     Returns
     -------
@@ -178,6 +226,21 @@ def make_detection_scenes(
     """
     if image_size % grid_size != 0:
         raise ValueError("image_size must be divisible by grid_size")
+    return _detection_scenes(
+        num_scenes, image_size, grid_size, num_classes, max_objects, noise_std, _resolve_seed(seed)
+    )
+
+
+@_memoised
+def _detection_scenes(
+    num_scenes: int,
+    image_size: int,
+    grid_size: int,
+    num_classes: int,
+    max_objects: int,
+    noise_std: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
     rng = spawn_rng("detection", seed=seed)
     cell = image_size // grid_size
     images = rng.standard_normal((num_scenes, 3, image_size, image_size)) * noise_std

@@ -35,29 +35,50 @@ __all__ = [
 ]
 
 
+#: how far outside [0, 1] a progress value may stray (float round-off) before it is rejected
+_PROGRESS_SLACK = 1e-9
+
+
+def _progress_error(low: float, high: float) -> ValueError:
+    return ValueError(f"progress values must lie in [0, 1], got range [{low}, {high}]")
+
+
 def _validate_progress(s: np.ndarray | float) -> np.ndarray:
     arr = np.asarray(s, dtype=np.float64)
-    if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
-        raise ValueError(f"progress values must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
+    if np.any(arr < -_PROGRESS_SLACK) or np.any(arr > 1.0 + _PROGRESS_SLACK):
+        raise _progress_error(arr.min(), arr.max())
     return np.clip(arr, 0.0, 1.0)
+
+
+def _validate_scalar_progress(s: float) -> float:
+    """:func:`_validate_progress` for one Python number, without building an array."""
+    s = float(s)
+    if s < -_PROGRESS_SLACK or s > 1.0 + _PROGRESS_SLACK:
+        raise _progress_error(s, s)
+    # max/min keep NaN and -0.0 exactly as np.clip does
+    return min(max(s, 0.0), 1.0)
 
 
 class Profile:
     """Base class for learning-rate profiles.
 
-    Sub-classes implement :meth:`value` on a clipped progress array.  The
-    public entry point :meth:`__call__` accepts scalars or arrays and returns
-    the same kind.
+    Sub-classes implement :meth:`value` on clipped progress, which is an array
+    or (on the per-step scalar path) a Python float.  The public entry point
+    :meth:`__call__` accepts scalars or arrays and returns the same kind.
     """
 
     #: short identifier used by the registry and result tables
     name: str = "profile"
 
     def value(self, s: np.ndarray) -> np.ndarray:
-        """Evaluate the profile on an already clipped progress array (subclass hook)."""
+        """Evaluate the profile on already clipped progress (subclass hook)."""
         raise NotImplementedError
 
     def __call__(self, s: np.ndarray | float) -> np.ndarray | float:
+        if isinstance(s, (float, int)):
+            # A schedule asks for one value per optimiser step; plain float
+            # arithmetic is bitwise equal to the 0-d array path and ~20x cheaper.
+            return float(self.value(_validate_scalar_progress(s)))
         arr = _validate_progress(s)
         out = self.value(arr)
         if np.isscalar(s) or (isinstance(s, np.ndarray) and s.ndim == 0):
@@ -240,9 +261,9 @@ class PiecewiseConstantProfile(Profile):
 
     def value(self, s: np.ndarray) -> np.ndarray:
         """``factor ** (number of milestones crossed by s)``."""
-        crossings = np.zeros_like(s)
+        crossings = 0.0
         for m in self.milestones:
-            crossings = crossings + (s >= m).astype(np.float64)
+            crossings = crossings + (s >= m) * 1.0
         return self.factor**crossings
 
     def __repr__(self) -> str:

@@ -194,3 +194,81 @@ class TestProfileProperties:
         delayed = float(DelayedLinearProfile(delay)(s))
         linear = float(LinearProfile()(s))
         assert linear - 1e-12 <= delayed <= 1.0 + 1e-12
+
+
+def _registry_profiles() -> list[Profile]:
+    """The profile of every profile-based schedule in the registry, plus every profile class."""
+    from repro.schedules.registry import SCHEDULE_REGISTRY, build_schedule
+    from repro.schedules.schedule import ProfileSchedule
+
+    required = {"delayed_linear": {"delay_fraction": 0.4}}
+    profiles: list[Profile] = []
+    for name in sorted(SCHEDULE_REGISTRY):
+        schedule = build_schedule(
+            name, None, total_steps=100, base_lr=1.0, steps_per_epoch=10, **required.get(name, {})
+        )
+        if isinstance(schedule, ProfileSchedule):
+            profiles.append(schedule.profile)
+    return profiles + ALL_PROFILES + [
+        REXProfile(alpha=2.0, beta=0.25),
+        PolynomialProfile(power=0.5),
+        CompositeProfile(LinearProfile(), REXProfile(), switch=0.3),
+    ]
+
+
+SCALAR_PATH_PROFILES = _registry_profiles()
+
+#: edge progress values: both ends, signed zero, the slack band, milestones, switch points
+EDGE_PROGRESS = [0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, 0.25, 0.3, 0.5, 0.75, 1.0 - 1e-16, 5e-324]
+
+
+#: Profiles built on ``**``: numpy raises a 0-d value with libm ``pow`` but an
+#: array with its own power loop (squaring for exponent 2), and the two can
+#: differ in the last bit (``0.1 ** 2.0`` is 0.010000000000000002 as a scalar,
+#: 0.01 in an array; ``x ** 2.0`` and ``x * x`` differ for some ``x``).
+#: Schedules have always taken the scalar value, so for these profiles the
+#: fast path is pinned to the 0-d path only.
+_ARRAY_POWER_DIFFERS = (PiecewiseConstantProfile, PolynomialProfile)
+
+
+class TestScalarFastPath:
+    """A Python-float progress skips the array validation; its value must not change."""
+
+    @staticmethod
+    def _assert_bitwise_equal(profile, s):
+        scalar = profile(s)
+        assert type(scalar) is float
+        zero_d = profile(np.asarray(s, dtype=np.float64))
+        assert np.float64(scalar).tobytes() == np.float64(zero_d).tobytes(), (profile, s)
+        if not isinstance(profile, _ARRAY_POWER_DIFFERS):
+            array = np.asarray(profile(np.array([s], dtype=np.float64)), dtype=np.float64)
+            assert np.float64(scalar).tobytes() == array[0].tobytes(), (profile, s, scalar, array[0])
+
+    @pytest.mark.parametrize("profile", SCALAR_PATH_PROFILES, ids=repr)
+    @pytest.mark.parametrize("s", EDGE_PROGRESS)
+    def test_edge_values_bitwise_equal(self, profile, s):
+        self._assert_bitwise_equal(profile, s)
+
+    @pytest.mark.parametrize("profile", SCALAR_PATH_PROFILES, ids=repr)
+    @given(s=progress_values)
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_bitwise_equals_one_element_array(self, profile, s):
+        self._assert_bitwise_equal(profile, s)
+
+    @pytest.mark.parametrize("profile", SCALAR_PATH_PROFILES, ids=repr)
+    def test_integer_and_numpy_scalars_take_the_same_value(self, profile):
+        assert profile(0) == profile(0.0)
+        assert profile(1) == profile(1.0)
+        assert np.float64(profile(np.float64(0.4))).tobytes() == np.float64(profile(0.4)).tobytes()
+
+    @pytest.mark.parametrize("s", [1.5, -0.2, 1.0 + 1e-8, float("inf"), float("-inf")])
+    def test_out_of_range_scalar_raises_like_the_array_path(self, s):
+        with pytest.raises(ValueError) as scalar_error:
+            REXProfile()(s)
+        with pytest.raises(ValueError) as array_error:
+            REXProfile()(np.array([s]))
+        assert str(scalar_error.value) == str(array_error.value)
+
+    def test_nan_propagates_like_the_array_path(self):
+        assert np.isnan(LinearProfile()(float("nan")))
+        assert np.isnan(LinearProfile()(np.array([float("nan")]))[0])
