@@ -9,7 +9,8 @@ the perf trajectory:
 * **dtype** — float32 vs float64 step loops (both planned, the production
   default);
 * **graph planning** (:mod:`repro.nn.plan`) — planned vs unplanned float32
-  loops, including ``tracemalloc`` steady-state allocation peaks: the planned
+  loops, interleaved over ``_PLAN_REPEATS`` repetitions and reported as
+  medians, including ``tracemalloc`` steady-state allocation peaks: the planned
   loop reuses every activation/gradient/workspace buffer after the capture
   step, so its per-step allocation high-water collapses;
 * **seed batching** — the S=5 stacked step loop against five serial per-seed
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -214,16 +216,37 @@ def test_mlp_step_loop_bfloat16_overhead():
 # planned vs unplanned float32 step loops (+ steady-state allocation peaks)
 # ---------------------------------------------------------------------------
 
+#: interleaved planned/unplanned repetitions behind each planned-vs-unplanned entry
+_PLAN_REPEATS = 5
+
+
+def _interleaved_plan_timings(build_fn) -> tuple[float, float, float]:
+    """Median planned seconds, median unplanned seconds and median per-pair speedup.
+
+    The two variants alternate (planned first on even repetitions, unplanned
+    first on odd ones), so host drift lands on both; each pair's ratio is
+    taken from two adjacent loops, and the medians shrug off a stalled one.
+    """
+    planned, unplanned, ratios = [], [], []
+    for rep in range(_PLAN_REPEATS):
+        order = (True, False) if rep % 2 == 0 else (False, True)
+        seconds = {plan: _time_step_loop(build_fn, "float32", plan=plan) for plan in order}
+        planned.append(seconds[True])
+        unplanned.append(seconds[False])
+        ratios.append(seconds[False] / seconds[True])
+    return statistics.median(planned), statistics.median(unplanned), statistics.median(ratios)
+
+
 def _bench_plan(entry_name: str, build_fn) -> dict:
-    planned_seconds = _time_step_loop(build_fn, "float32", plan=True)
-    unplanned_seconds = _time_step_loop(build_fn, "float32", plan=False)
+    planned_seconds, unplanned_seconds, speedup = _interleaved_plan_timings(build_fn)
     planned_peak = _steady_state_alloc_peak(build_fn, "float32", plan=True)
     unplanned_peak = _steady_state_alloc_peak(build_fn, "float32", plan=False)
     entry = {
         "steps": _STEPS,
         "planned_seconds": round(planned_seconds, 4),
         "unplanned_seconds": round(unplanned_seconds, 4),
-        "plan_speedup": round(unplanned_seconds / planned_seconds, 3),
+        "repeats": _PLAN_REPEATS,
+        "plan_speedup": round(speedup, 3),
         "planned_steps_per_second": round(_STEPS / planned_seconds, 2),
         "unplanned_steps_per_second": round(_STEPS / unplanned_seconds, 2),
         "planned_step_alloc_peak_kb": round(planned_peak / 1024, 1),

@@ -18,7 +18,7 @@ from repro.nn.dtype import (
     storage_dtype,
 )
 from repro.nn.lowprec import LossScaler, LowPrecisionState, MasterWeights
-from repro.nn.plan import GraphPlan, plan_enabled_default
+from repro.nn.plan import GraphPlan, plan_enabled_default, plan_for_fit
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled, concatenate, stack, where
 from repro.nn import functional
 from repro.nn import init
@@ -68,6 +68,7 @@ __all__ = [
     "GraphPlan",
     "plan",
     "plan_enabled_default",
+    "plan_for_fit",
     "Tensor",
     "no_grad",
     "is_grad_enabled",

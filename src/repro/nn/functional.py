@@ -2,6 +2,14 @@
 
 Convolution and pooling use im2col so the heavy lifting stays inside numpy's
 BLAS-backed matmul (per the project's "vectorize, don't loop" guideline).
+:func:`im2col` and :func:`col2im` address the images through read-only index
+maps cached per shape (a bounded ``functools.lru_cache``): unfolding is one
+``np.take`` and folding one unbuffered ``np.add.at``, which sums each pixel's
+window contributions in kernel-tap order from 0.0, so the fold's rounding is
+fixed by the kernel shape alone.  :func:`linear` and :func:`batch_norm` are
+single graph nodes that issue exactly the numpy calls of the composed
+``Tensor`` ops they replace, so their values are bitwise those of the
+composed chain.
 
 Every workspace here (im2col/col2im buffers, GEMM outputs, dropout masks,
 scatter targets) is drawn from the active :class:`~repro.nn.plan.GraphPlan`'s
@@ -12,16 +20,18 @@ kernels run with fresh allocations and produce bitwise-identical values.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from repro.nn import plan as _plan
 from repro.nn.dtype import active_emulation, get_default_dtype
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _ew, _neg, _scalar_ew, unbroadcast
 
 __all__ = [
     "linear",
+    "batch_norm",
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
@@ -107,6 +117,104 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
+def batch_norm(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    axes: tuple[int, ...],
+    shape: tuple[int, ...],
+    training: bool,
+    momentum: float,
+    eps: float,
+) -> Tensor:
+    """Batch normalisation of ``x`` over ``axes`` as one graph node.
+
+    ``shape`` is the broadcast shape of the per-channel statistics and affine
+    parameters (``(1, C, 1, 1)`` for NCHW, ``(S, 1, C, 1, 1)`` seed-batched);
+    in training the running buffers are updated in place.  The forward and
+    backward issue the numpy calls of the composed chain of ``Tensor`` ops
+    (mean, centre, variance, ``(var + eps) ** 0.5``, divide, scale, shift) in
+    the same order and with the same reduction and accumulation order, so
+    values are bitwise those of the composed chain; only the graph dispatch
+    and the intermediate tensors go.  Callers keep the composed chain where
+    that equality is not structural: mixed dtypes, where every op promotes on
+    its own, and emulated dtypes, where cast-on-store rounds at every node.
+    """
+    a = x.data
+    dtype = a.dtype
+    w = weight.data.reshape(shape)
+    b = bias.data.reshape(shape)
+    if training:
+        count = int(np.prod([a.shape[axis] for axis in axes]))
+        inv_count = np.asarray(1.0 / count, dtype=dtype)
+        mean = _ew(np.multiply, a.sum(axis=axes, keepdims=True), inv_count)
+        centered = _ew(np.subtract, a, mean)
+        work = _ew(np.multiply, centered, centered)
+        var = _ew(np.multiply, work.sum(axis=axes, keepdims=True), inv_count)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(running_mean.shape)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(running_var.shape)
+        var_eps = _ew(np.add, var, np.asarray(eps, dtype=dtype))
+        std = _scalar_ew(np.power, var_eps, 0.5)
+        # the squares are dead once summed: x_hat takes over their buffer
+        x_hat = np.true_divide(centered, std, out=work)
+    else:
+        mean = running_mean.reshape(shape).astype(dtype, copy=False)
+        std = np.sqrt(running_var.reshape(shape) + eps).astype(dtype, copy=False)
+        centered = _ew(np.subtract, a, mean)
+        x_hat = _ew(np.true_divide, centered, std, kinds="f")
+    out_data = _ew(np.multiply, x_hat, w)
+    np.add(out_data, b, out=out_data)
+    out = Tensor(
+        out_data,
+        requires_grad=x.requires_grad or weight.requires_grad or bias.requires_grad,
+        _prev=(x, weight, bias),
+    )
+
+    def _backward(out: Tensor) -> None:
+        g = out.grad
+        if g is None:
+            return
+        # the composed chain's order: shift, scale, then the x_hat chain back
+        # to x (each parameter's gradient reduces over broadcast axes in turn)
+        if bias.requires_grad:
+            bias._accumulate(unbroadcast(g, shape).reshape(bias.shape))
+        if weight.requires_grad:
+            grad_w = unbroadcast(_ew(np.multiply, g, x_hat), shape)
+            weight._accumulate(grad_w.reshape(weight.shape))
+        if not x.requires_grad:
+            return
+        grad_x_hat = _ew(np.multiply, g, w)
+        grad_centered = _ew(np.true_divide, grad_x_hat, std, kinds="f")
+        if not training:
+            x._accumulate(grad_centered, own=True)
+            return
+        # d/d std of centered / std, then back through (var + eps) ** 0.5
+        num = _ew(np.multiply, _neg(grad_x_hat), centered)
+        den = _scalar_ew(np.power, std, 2)
+        grad_std = unbroadcast(_ew(np.true_divide, num, den, kinds="f"), shape)
+        scaled = _scalar_ew(np.multiply, grad_std, 0.5)
+        grad_var = _ew(np.multiply, scaled, _scalar_ew(np.power, var_eps, 0.5 - 1))
+        # back through the variance's mean to the squares: centered takes
+        # their two contributions (one per operand) after the division's
+        grad_sum_sq = _ew(np.multiply, grad_var, inv_count)
+        from_sq = _ew(np.multiply, grad_sum_sq, centered)
+        grad_centered += from_sq
+        grad_centered += from_sq
+        # centering: x takes the centred gradient, then the mean's broadcast
+        grad_mean = unbroadcast(_neg(grad_centered), shape)
+        grad_sum = _ew(np.multiply, grad_mean, inv_count)
+        x._accumulate(grad_centered, own=True)
+        x._accumulate(np.broadcast_to(grad_sum, centered.shape))
+
+    out._backward = _backward
+    _plan.tag(out, "batch_norm", training)
+    return out
+
+
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Return a float one-hot matrix for integer class labels."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -174,10 +282,49 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+#: most distinct keys :func:`_index_map` keeps (least recently used goes first)
+INDEX_CACHE_SIZE = 32
+#: most entries in one fold map: a larger batch folds in blocks of whole images,
+#: so no cached map outgrows 8 MiB of ``intp`` whatever the batch size
+FOLD_BLOCK_ENTRIES = 1 << 20
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _index_map(
+    n: int, c: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> np.ndarray:
+    """Read-only flat offsets of every window element of ``n`` padded NCHW images.
+
+    Entry ``[b, (ci, i, j), (oy, ox)]`` is the C-order offset of padded pixel
+    ``(b, ci, oy * stride + i, ox * stride + j)``, so the map lists the window
+    elements in exactly :func:`im2col`'s column layout.  Shape
+    ``(n, c * kernel_h * kernel_w, out_h * out_w)``, dtype ``intp``.
+    """
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out_h = _conv_output_size(h, kernel_h, stride, padding)
+    out_w = _conv_output_size(w, kernel_w, stride, padding)
+    axes = (n, c, kernel_h, kernel_w, out_h, out_w)
+    steps = (c * hp * wp, hp * wp, wp, 1, stride * wp, stride)
+    idx = np.zeros(axes, dtype=np.intp)
+    for axis, (size, step) in enumerate(zip(axes, steps)):
+        shape = [1] * len(axes)
+        shape[axis] = size
+        idx += (np.arange(size, dtype=np.intp) * step).reshape(shape)
+    idx = idx.reshape(n, c * kernel_h * kernel_w, out_h * out_w)
+    idx.flags.writeable = False
+    return idx
+
+
 def im2col(
     x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
-    """Unfold an NCHW array into columns of shape (N, C*kh*kw, out_h*out_w)."""
+    """Unfold an NCHW array into columns of shape (N, C*kh*kw, out_h*out_w).
+
+    One ``np.take`` of the (zero-padded) images through the cached window map
+    of a single image.  ``mode="clip"`` is what lets ``take`` write straight
+    into ``out=``: the default ``"raise"`` buffers through a copy (the indices
+    are in range by construction, so clipping never changes a value).
+    """
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kernel_h, stride, padding)
     out_w = _conv_output_size(w, kernel_w, stride, padding)
@@ -189,23 +336,11 @@ def im2col(
             x = padded
         else:
             x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    # Strided sliding-window view, then one gathering copy into column layout.
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    src = windows.transpose(0, 1, 4, 5, 2, 3)
+    idx = _index_map(1, c, h, w, kernel_h, kernel_w, stride, padding)[0]
+    out = None
     if plan is not None:
-        cols = plan.checkout((n, c * kernel_h * kernel_w, out_h * out_w), x.dtype)
-        np.copyto(cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w), src)
-    else:
-        cols = np.ascontiguousarray(
-            src.reshape(n, c * kernel_h * kernel_w, out_h * out_w)
-        )
+        out = plan.checkout((n, c * kernel_h * kernel_w, out_h * out_w), x.dtype)
+    cols = np.take(x.reshape(n, -1), idx, axis=1, out=out, mode="clip")
     return cols, out_h, out_w
 
 
@@ -219,19 +354,30 @@ def col2im(
 ) -> np.ndarray:
     """Fold columns back into an NCHW array (adjoint of :func:`im2col`).
 
+    One unbuffered ``np.add.at`` of the columns into a zeroed padded buffer
+    through the cached fold map.  ``ufunc.at`` applies the updates in index
+    order, and the map is in column order, so every pixel sums its window
+    contributions in ``(i, j)`` kernel-tap order starting from 0.0, whatever
+    the batch, blocking or plan (``tests/test_conv_bn_kernels.py`` pins this
+    order bitwise against a per-tap strided ``+=`` reference).
+
     With ``padding > 0`` the returned array is a view into the (possibly
     arena-owned) padded scatter buffer.
     """
     n, c, h, w = input_shape
-    out_h = _conv_output_size(h, kernel_h, stride, padding)
-    out_w = _conv_output_size(w, kernel_w, stride, padding)
     padded = _zeros((n, c, h + 2 * padding, w + 2 * padding), cols.dtype)
-    cols6 = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-    for i in range(kernel_h):
-        i_end = i + stride * out_h
-        for j in range(kernel_w):
-            j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j, :, :]
+    per_image = cols.size // n if n else 1
+    block = max(1, min(n, FOLD_BLOCK_ENTRIES // per_image))
+    idx = _index_map(block, c, h, w, kernel_h, kernel_w, stride, padding).reshape(-1)
+    target = padded.reshape(n, -1)
+    source = cols.reshape(n, -1)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        np.add.at(
+            target[start:stop].reshape(-1),
+            idx[: (stop - start) * per_image],
+            source[start:stop].reshape(-1),
+        )
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded

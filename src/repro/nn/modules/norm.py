@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import functional as F
+from repro.nn.dtype import active_emulation, get_default_dtype
 from repro.nn.modules.base import Module, Parameter
 from repro.nn.tensor import Tensor
 
@@ -36,6 +38,37 @@ class _BatchNorm(Module):
         # ``axes`` never includes the seed axis when the module is stacked, so
         # statistics (and the running buffers, which are then (S, C)) stay
         # strictly per-seed.
+        dtype = x.data.dtype
+        if (
+            active_emulation() is None
+            and dtype == get_default_dtype()
+            and self.weight.data.dtype == dtype
+            and self.bias.data.dtype == dtype
+        ):
+            return F.batch_norm(
+                x,
+                self.weight,
+                self.bias,
+                self._buffers["running_mean"],
+                self._buffers["running_var"],
+                axes,
+                shape,
+                self.training,
+                self.momentum,
+                self.eps,
+            )
+        return self._normalise_composed(x, axes, shape)
+
+    def _normalise_composed(
+        self, x: Tensor, axes: tuple[int, ...], shape: tuple[int, ...]
+    ) -> Tensor:
+        """The chain of ``Tensor`` ops :func:`~repro.nn.functional.batch_norm` fuses.
+
+        Kept for mixed dtypes (each op promotes on its own) and emulated
+        dtypes (cast-on-store rounds at every node, which one node cannot
+        reproduce), exactly as :func:`~repro.nn.functional.linear` keeps its
+        composed ops.
+        """
         if self.training:
             # One centering pass feeds both the variance and the normalised
             # output (``x.var`` would re-derive the mean and re-subtract it),

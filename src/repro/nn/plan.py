@@ -91,7 +91,7 @@ from repro.nn import plan_passes as _passes_mod
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tensor imports plan)
     from repro.nn.tensor import Tensor
 
-__all__ = ["GraphPlan", "env_flag", "get_active", "plan_enabled_default"]
+__all__ = ["GraphPlan", "env_flag", "get_active", "plan_enabled_default", "plan_for_fit"]
 
 
 #: The plan whose arena the kernels currently draw from (``None`` almost
@@ -150,6 +150,17 @@ def plan_enabled_default() -> bool:
     consult this when their ``plan=`` argument is ``None``.
     """
     return env_flag(os.environ.get("REPRO_PLAN")) is not False
+
+
+def plan_for_fit(enabled: bool, total_steps: int) -> "GraphPlan | None":
+    """The plan for a training loop of ``total_steps`` steps, or ``None``.
+
+    A plan spends its first step capturing and compiling and pays that back
+    only by replaying on later steps, so a one-step fit trains unplanned even
+    with planning on.  Values are unaffected: planned and unplanned steps are
+    bitwise identical.  Both trainers build their plan through this one test.
+    """
+    return GraphPlan() if enabled and total_steps >= 2 else None
 
 
 class _PlanStep:

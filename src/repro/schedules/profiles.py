@@ -59,6 +59,22 @@ def _validate_scalar_progress(s: float) -> float:
     return min(max(s, 0.0), 1.0)
 
 
+#: ``**`` applied element by element to Python floats
+_PY_POW = np.frompyfunc(pow, 2, 1)
+
+
+def _pow_each(base: np.ndarray | float, exponent: np.ndarray | float) -> np.ndarray:
+    """``base ** exponent`` per element through C ``pow``, as a Python float takes it.
+
+    numpy's array power loop (squaring for exponent 2, its own vectorised
+    ``pow`` otherwise) can differ from C ``pow`` in the last bit, while a 0-d
+    value and a Python float both go through C ``pow``.  A schedule takes its
+    per-step value as a Python float, so array progress (``Profile.curve``,
+    Figure 2) takes the same route and agrees with it bit for bit.
+    """
+    return np.asarray(_PY_POW(base, exponent), dtype=np.float64)
+
+
 class Profile:
     """Base class for learning-rate profiles.
 
@@ -220,7 +236,10 @@ class PolynomialProfile(Profile):
 
     def value(self, s: np.ndarray) -> np.ndarray:
         """``(1 - s) ** power``."""
-        return (1.0 - s) ** self.power
+        remaining = 1.0 - s
+        if isinstance(remaining, float):
+            return remaining**self.power
+        return _pow_each(remaining, self.power)
 
     def __repr__(self) -> str:
         return f"PolynomialProfile(power={self.power})"
@@ -233,6 +252,8 @@ class ConstantProfile(Profile):
 
     def value(self, s: np.ndarray) -> np.ndarray:
         """``1`` everywhere."""
+        if isinstance(s, float):
+            return 1.0
         return np.ones_like(s)
 
 
@@ -264,7 +285,9 @@ class PiecewiseConstantProfile(Profile):
         crossings = 0.0
         for m in self.milestones:
             crossings = crossings + (s >= m) * 1.0
-        return self.factor**crossings
+        if isinstance(crossings, float):
+            return self.factor**crossings
+        return _pow_each(self.factor, crossings)
 
     def __repr__(self) -> str:
         return f"PiecewiseConstantProfile(milestones={self.milestones}, factor={self.factor})"
@@ -290,6 +313,9 @@ class DelayedLinearProfile(Profile):
         """``1`` until the delay point, then linear decay to 0."""
         d = self.delay_fraction
         decayed = (1.0 - s) / (1.0 - d)
+        if isinstance(s, float):
+            # max/min keep NaN exactly as np.clip does
+            return 1.0 if s <= d else min(max(decayed, 0.0), 1.0)
         return np.where(s <= d, 1.0, np.clip(decayed, 0.0, 1.0))
 
     def __repr__(self) -> str:

@@ -186,7 +186,8 @@ class BatchedTrainer:
     ``plan`` mirrors :class:`~repro.training.trainer.Trainer`'s graph-planning
     switch (``None`` defers to ``REPRO_PLAN``): the stacked step's buffers —
     including the shared (S·N)-batch im2col/GEMM workspaces of the batched
-    conv kernels — are captured once and reused on every later step.
+    conv kernels — are captured once and reused on every later step (a
+    one-step fit, with no later step, trains unplanned).
     """
 
     def __init__(
@@ -220,7 +221,7 @@ class BatchedTrainer:
         if total_steps < 1:
             raise ValueError(f"total_steps must be at least 1, got {total_steps}")
         self.model.train()
-        graph_plan = nn.GraphPlan() if self.plan else None
+        graph_plan = nn.plan_for_fit(self.plan, total_steps)
         self.last_plan = graph_plan
         # Under an ambient emulated dtype the stacked loop trains
         # mixed-precision exactly like the serial trainer.  One scalar loss

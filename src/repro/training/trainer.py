@@ -79,6 +79,8 @@ class Trainer:
         ``REPRO_PLAN=0`` / the CLI's ``--no-plan``) as the exact-equality
         escape hatch.  Every planned step compiles the fixed
         ``alias``/``fuse``/``dce`` pipeline of :mod:`repro.nn.plan_passes`.
+        A one-step fit has nothing to replay and trains unplanned
+        (:func:`~repro.nn.plan.plan_for_fit`).
     """
 
     def __init__(
@@ -109,7 +111,8 @@ class Trainer:
         self.loss_scaler = loss_scaler
         self.stochastic_rounding = stochastic_rounding
         #: the :class:`~repro.nn.plan.GraphPlan` of the most recent ``fit``
-        #: (``None`` when planning is disabled); exposes reuse counters
+        #: (``None`` when planning is off or the fit had one step); exposes
+        #: reuse counters
         self.last_plan: nn.GraphPlan | None = None
         #: the mixed-precision state of the most recent ``fit`` (``None``
         #: unless an emulated dtype was active); exposes the scaler counters
@@ -160,7 +163,7 @@ class Trainer:
         for cb in self.callbacks:
             cb.on_train_begin(self)
 
-        graph_plan = nn.GraphPlan() if self.plan else None
+        graph_plan = nn.plan_for_fit(self.plan, total_steps)
         self.last_plan = graph_plan
 
         # Under an emulated dtype (ambient, whether set by self.dtype or an

@@ -218,17 +218,12 @@ def _registry_profiles() -> list[Profile]:
 
 SCALAR_PATH_PROFILES = _registry_profiles()
 
-#: edge progress values: both ends, signed zero, the slack band, milestones, switch points
-EDGE_PROGRESS = [0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, 0.25, 0.3, 0.5, 0.75, 1.0 - 1e-16, 5e-324]
-
-
-#: Profiles built on ``**``: numpy raises a 0-d value with libm ``pow`` but an
-#: array with its own power loop (squaring for exponent 2), and the two can
-#: differ in the last bit (``0.1 ** 2.0`` is 0.010000000000000002 as a scalar,
-#: 0.01 in an array; ``x ** 2.0`` and ``x * x`` differ for some ``x``).
-#: Schedules have always taken the scalar value, so for these profiles the
-#: fast path is pinned to the 0-d path only.
-_ARRAY_POWER_DIFFERS = (PiecewiseConstantProfile, PolynomialProfile)
+#: edge progress values: both ends, signed zero, the slack band, milestones, switch
+#: points, and one where numpy's array ``x ** 2.0`` and C ``pow`` differ in the last bit
+EDGE_PROGRESS = [
+    0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, 0.25, 0.3, 0.5, 0.75, 1.0 - 1e-16, 5e-324,
+    0.9450998605273162,
+]
 
 
 class TestScalarFastPath:
@@ -240,9 +235,8 @@ class TestScalarFastPath:
         assert type(scalar) is float
         zero_d = profile(np.asarray(s, dtype=np.float64))
         assert np.float64(scalar).tobytes() == np.float64(zero_d).tobytes(), (profile, s)
-        if not isinstance(profile, _ARRAY_POWER_DIFFERS):
-            array = np.asarray(profile(np.array([s], dtype=np.float64)), dtype=np.float64)
-            assert np.float64(scalar).tobytes() == array[0].tobytes(), (profile, s, scalar, array[0])
+        array = np.asarray(profile(np.array([s], dtype=np.float64)), dtype=np.float64)
+        assert np.float64(scalar).tobytes() == array[0].tobytes(), (profile, s, scalar, array[0])
 
     @pytest.mark.parametrize("profile", SCALAR_PATH_PROFILES, ids=repr)
     @pytest.mark.parametrize("s", EDGE_PROGRESS)
@@ -254,6 +248,12 @@ class TestScalarFastPath:
     @settings(max_examples=60, deadline=None)
     def test_scalar_bitwise_equals_one_element_array(self, profile, s):
         self._assert_bitwise_equal(profile, s)
+
+    @pytest.mark.parametrize("profile", SCALAR_PATH_PROFILES, ids=repr)
+    def test_curve_bitwise_equals_per_step_scalars(self, profile):
+        grid, values = profile.curve(101)
+        scalars = np.array([profile(float(s)) for s in grid], dtype=np.float64)
+        assert values.tobytes() == scalars.tobytes(), profile
 
     @pytest.mark.parametrize("profile", SCALAR_PATH_PROFILES, ids=repr)
     def test_integer_and_numpy_scalars_take_the_same_value(self, profile):
